@@ -3,15 +3,19 @@
 The ensemble engine's reason to exist is the paper's evaluation shape:
 100 independent replicates per parameter point.  This benchmark times
 ``run_trials``-style workloads both ways — serial scalar jump chain
-per trial vs one vectorized batch — at two working points:
+per trial (``count`` as users run it, on the compiled kernel whenever
+a native backend exists) vs one vectorized batch — at two working
+points:
 
 * Figure 3's k = 3, n = 300 (the acceptance point: the batch must be
   several times faster than the serial loop), and
 * Figure 6's k = 6, n = 960 (the heavy regime, where the serial
   baseline is extrapolated from a few trials to keep the suite quick).
 
-It also times the compiled kernel tier (``count-jit`` vs ``count`` —
-the floor is 2x at the heavy point whenever a native backend is
+It also times the compiled kernels against the pure-Python loops
+(``count`` and ``count-jit`` run on the kernel whenever a native
+backend exists; the reference forces ``REPRO_KERNEL=python``; the
+floor is 2x at the heavy point whenever a native backend is
 available) and the sharded parallel ensemble tier at several worker
 counts (on single-core CI boxes the scaling curve is honest and flat;
 the numbers are recorded either way).
@@ -28,6 +32,7 @@ import json
 import os
 import subprocess
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,9 @@ from repro.engine import (
     JitCountEngine,
     ParallelEnsembleEngine,
     get_kernels,
+    reset_kernels,
 )
+from repro.engine.kernels import KERNEL_ENV
 from repro.protocols import uniform_k_partition
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ensemble.json"
@@ -79,6 +86,22 @@ def _provenance() -> dict:
         "numba": numba_version,
         "kernel_backend": get_kernels().backend,
     }
+
+
+@contextmanager
+def _python_loops():
+    """Run the enclosed sessions on their pure-Python loops."""
+    saved = os.environ.get(KERNEL_ENV)
+    os.environ[KERNEL_ENV] = "python"
+    reset_kernels()
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[KERNEL_ENV]
+        else:
+            os.environ[KERNEL_ENV] = saved
+        reset_kernels()
 
 
 def _serial_seconds_per_trial(protocol, n, *, seed, trials) -> float:
@@ -158,13 +181,14 @@ def _seconds_per_trial(engine, protocol, n, *, seed, trials) -> float:
     ids=["fig3-k3-n300", "fig6-k6-n960"],
 )
 def test_kernel_tier_vs_count(k, n, trials):
-    """Compiled jump chain (``count-jit``) against the Python tier."""
+    """Compiled jump chain (``count-jit``) against the Python loop."""
     protocol = uniform_k_partition(k)
     protocol.compiled
+    with _python_loops():
+        python_per_trial = _seconds_per_trial(
+            CountBasedEngine(), protocol, n, seed=2026, trials=trials
+        )
     kernels = get_kernels()
-    python_per_trial = _seconds_per_trial(
-        CountBasedEngine(), protocol, n, seed=2026, trials=trials
-    )
     jit_per_trial = _seconds_per_trial(
         JitCountEngine(), protocol, n, seed=2026, trials=trials
     )
@@ -187,21 +211,26 @@ def test_kernel_tier_vs_count(k, n, trials):
 
 
 def test_batch_kernel_tier(k=3, n=120):
-    """Compiled pair-draw/apply loop (``batch-jit``) against ``batch``."""
+    """Compiled pair-draw/apply loop (``batch-jit``) against the Python
+    batch loop."""
     from repro.engine import BatchEngine
 
     protocol = uniform_k_partition(k)
     protocol.compiled
-    kernels = get_kernels()
     budget = 2_000_000
     seeds = spawn_seed_sequences(2026, 3)
-    timings = {}
-    for engine in (BatchEngine(), JitBatchEngine()):
+
+    def per_trial(engine) -> float:
         engine.run(protocol, n, seed=seeds[0], max_interactions=budget)
         start = time.perf_counter()
         for s in seeds:
             engine.run(protocol, n, seed=s, max_interactions=budget)
-        timings[engine.name] = (time.perf_counter() - start) / len(seeds)
+        return (time.perf_counter() - start) / len(seeds)
+
+    with _python_loops():
+        timings = {"batch": per_trial(BatchEngine())}
+    kernels = get_kernels()
+    timings["batch-jit"] = per_trial(JitBatchEngine())
     _record(
         f"batch_kernel_k{k}_n{n}",
         {

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from pathlib import Path
 
 from .. import __version__ as _PACKAGE_VERSION
 from ..core.errors import CampaignError, StoreClosedError
+from ..obs.trace import git_revision
 from .spec import JobSpec
 
 __all__ = [
@@ -128,19 +128,6 @@ DROP TABLE jobs_v1;
 DROP TABLE trial_cache_v1;
 DROP TABLE checkpoints_v1;
 """
-
-
-def _git_rev() -> str | None:
-    """Current git revision, or None outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5, check=False,
-        )
-    except OSError:
-        return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
 
 
 def _check_tenant(tenant: str) -> str:
@@ -433,6 +420,7 @@ class CampaignStore:
         wall_time: float,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
+        git_rev = git_revision()  # resolved outside the write transaction
         with self._write() as conn:
             conn.execute(
                 "UPDATE jobs SET status = 'done', summary = ?, record = ?, "
@@ -443,7 +431,7 @@ class CampaignStore:
                     json.dumps(record),
                     wall_time,
                     time.time(),
-                    _git_rev(),
+                    git_rev,
                     _PACKAGE_VERSION,
                     tenant,
                     digest,

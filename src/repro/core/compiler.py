@@ -33,7 +33,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .protocol import Protocol
 
-__all__ = ["InteractionClass", "CompiledProtocol", "compile_protocol"]
+__all__ = [
+    "InteractionClass",
+    "ClassTables",
+    "PairTables",
+    "CompiledProtocol",
+    "compile_protocol",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +67,58 @@ class InteractionClass:
             c = int(counts[self.in1])
             return c * (c - 1)
         return self.multiplier * int(counts[self.in1]) * int(counts[self.in2])
+
+
+def _int64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, indices)`` int64 arrays of a list of index lists."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    return offsets, _int64([j for row in rows for j in row])
+
+
+@dataclass(frozen=True, slots=True)
+class ClassTables:
+    """Column form of :attr:`CompiledProtocol.classes` for the jump chain.
+
+    Built once per compiled protocol and shared by every chain over it;
+    nothing may write to these lists or arrays.  The lists feed the
+    Python loop; :attr:`arrays` holds the same tables as int64 arrays
+    in the order the compiled jump-chain kernel takes them.
+    """
+
+    in1: list[int]
+    in2: list[int]
+    out1: list[int]
+    out2: list[int]
+    same: list[bool]
+    mult: list[int]
+    #: ``affected[r]``: classes whose weight can change when ``r`` fires
+    #: (classes sharing any of its four touched states), sorted.
+    affected: list[list[int]]
+    #: ``in1, in2, out1, out2, same, mult, aff_off, aff_idx`` (int64).
+    arrays: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class PairTables:
+    """Rule tables of the pair-draw/apply (batch) loop.
+
+    Built once per compiled protocol and shared by every batch session
+    over it; nothing may write to these lists or arrays.  ``dirty[pq]``
+    lists, per ordered rule key ``p*S + q``, the classes whose weight
+    the rule can change (empty for null pairs), sorted; the Python loop
+    reads it.  ``delta`` (``delta_flat`` widened to int64) and
+    ``pq_off``/``pq_idx`` (``dirty`` in CSR form) feed the kernel.
+    """
+
+    dirty: list[list[int]]
+    delta: np.ndarray
+    pq_off: np.ndarray
+    pq_idx: np.ndarray
 
 
 @dataclass(slots=True)
@@ -93,6 +151,8 @@ class CompiledProtocol:
     classes: list[InteractionClass]
     state_classes: list[list[int]]
     _delta_list: list[int] | None = field(default=None, repr=False)
+    _class_tables: ClassTables | None = field(default=None, repr=False, compare=False)
+    _pair_tables: PairTables | None = field(default=None, repr=False, compare=False)
 
     @property
     def delta_list(self) -> list[int]:
@@ -100,6 +160,49 @@ class CompiledProtocol:
         if self._delta_list is None:
             self._delta_list = self.delta_flat.tolist()
         return self._delta_list
+
+    @property
+    def class_tables(self) -> ClassTables:
+        """The jump chain's class tables (built on first use, then shared)."""
+        if self._class_tables is None:
+            classes = self.classes
+            state_classes = self.state_classes
+            columns = (
+                [c.in1 for c in classes],
+                [c.in2 for c in classes],
+                [c.out1 for c in classes],
+                [c.out2 for c in classes],
+                [c.same for c in classes],
+                [c.multiplier for c in classes],
+            )
+            affected: list[list[int]] = []
+            for c in classes:
+                dirty: set[int] = set()
+                for s in {c.in1, c.in2, c.out1, c.out2}:
+                    dirty.update(state_classes[s])
+                affected.append(sorted(dirty))
+            arrays = tuple(_int64(col) for col in columns) + _csr(affected)
+            self._class_tables = ClassTables(*columns, affected, arrays)
+        return self._class_tables
+
+    @property
+    def pair_tables(self) -> PairTables:
+        """The batch loop's rule tables (built on first use, then shared)."""
+        if self._pair_tables is None:
+            S = self.num_states
+            state_classes = self.state_classes
+            dflat = self.delta_list
+            dirty_by_pq: list[list[int]] = []
+            for pq, out in enumerate(dflat):
+                touched: set[int] = set()
+                if out != pq:
+                    for s in (*divmod(pq, S), *divmod(out, S)):
+                        touched.update(state_classes[s])
+                dirty_by_pq.append(sorted(touched))
+            self._pair_tables = PairTables(
+                dirty_by_pq, _int64(dflat), *_csr(dirty_by_pq)
+            )
+        return self._pair_tables
 
     def class_weights(self, counts: np.ndarray) -> list[int]:
         """Weights of all classes for a given count vector."""

@@ -126,11 +126,11 @@ class Protocol:
     stability_signature_factory:
         Optional factory ``n -> StabilitySignature`` giving the scalar
         predicate in declarative count-sum form.  Must agree with the
-        scalar predicate on every count vector — the compiled kernel
-        tiers (``count-jit``, ``batch-jit``) evaluate the signature in
-        native code and silently fall back to the Python loop for
-        protocols that provide a predicate without a signature, so
-        supplying it is purely a performance optimization.
+        scalar predicate on every count vector — the ``count`` and
+        ``batch`` engines evaluate the signature in their compiled
+        kernels and keep their Python loops for protocols that provide
+        a predicate without a signature, so supplying it is purely a
+        performance optimization.
     metadata:
         Free-form information (e.g. ``{"k": 5, "paper": "..."}``).
     """

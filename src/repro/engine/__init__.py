@@ -1,8 +1,10 @@
 """Simulation engines: reference agent-based, batched uniform, the
-count-based jump-chain engine with null-interaction skipping, the
-ensemble engine that vectorizes the jump chain across replicates, the
-compiled kernel tiers (``count-jit``/``batch-jit``), and the
-process-parallel sharded ensemble tier (``ensemble-parallel``).
+count-based jump-chain engine with null-interaction skipping (batch and
+count run their loops as compiled kernels whenever a native backend
+exists; ``batch-jit``/``count-jit`` are the same engines under their
+old names), the ensemble engine that vectorizes the jump chain across
+replicates, and the process-parallel sharded ensemble tier
+(``ensemble-parallel``).
 
 Each engine is a stepper factory: ``Engine.start`` returns a resumable
 :class:`EngineSession` (advance/snapshot/restore/result) and

@@ -14,7 +14,10 @@ the count-based engine when only counts and totals matter.
 
 The loop lives in :class:`BatchSession`; snapshots carry the RNG state
 and the unconsumed tail of the current pair block (see
-:mod:`repro.engine.session` for the bit-identity discipline).
+:mod:`repro.engine.session` for the bit-identity discipline).  Whenever
+:func:`~repro.engine.kernels.session_kernels` finds a native kernel the
+run can use, the pair-draw/apply loop runs in the compiled
+``pair_block`` kernel instead, on the same pre-drawn pair blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
 from .base import Engine, StepCallback
+from .kernels import KERNEL_CONVERGED, KERNEL_REFILL, session_kernels
 from .session import EngineSession
 
 __all__ = ["BatchEngine", "BatchSession"]
@@ -33,7 +37,8 @@ __all__ = ["BatchEngine", "BatchSession"]
 
 class BatchSession(EngineSession):
     """Stepper for :class:`BatchEngine`: inlined uniform pair sampling
-    plus incrementally maintained total active weight."""
+    plus incrementally maintained total active weight, in the compiled
+    kernel when one applies (see the module docstring)."""
 
     def __init__(
         self,
@@ -61,7 +66,8 @@ class BatchSession(EngineSession):
         self._S = compiled.num_states
         self._dflat = compiled.delta_list
         self._classes = compiled.classes
-        self._state_classes = compiled.state_classes
+        # pq rule key -> classes whose weight the rule can change.
+        self._dirty_by_pq = compiled.pair_tables.dirty
         self._pred = protocol.stability_predicate(self._n)
         self._block = engine._block_size
         states: list[int] = []
@@ -73,6 +79,7 @@ class BatchSession(EngineSession):
         self._buf_a: list[int] = []
         self._buf_b: list[int] = []
         self._pos = 0
+        self._kernel_plan = session_kernels(protocol, self._n, on_effective)
 
     def _init_weights(self) -> None:
         # Total active weight, maintained incrementally: after each
@@ -81,9 +88,6 @@ class BatchSession(EngineSession):
         # instead of a rescan of every class.
         self._weights = [cls.weight(self.counts) for cls in self._classes]
         self._W = sum(self._weights)
-        # pq rule key -> indices of classes whose weight the rule can
-        # change (lazily cached; the reachable rule set is small).
-        self._dirty_by_pq: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
     # Stepper
@@ -108,13 +112,15 @@ class BatchSession(EngineSession):
         return a_arr, b_arr
 
     def _advance_inner(self, target: int) -> None:
+        if self._kernel_plan is not None:
+            self._advance_kernel(target)
+            return
         counts = self.counts
         states = self._states
         S = self._S
         dflat = self._dflat
         pred = self._pred
         classes = self._classes
-        state_classes = self._state_classes
         weights = self._weights
         W_active = self._W
         dirty_by_pq = self._dirty_by_pq
@@ -162,14 +168,7 @@ class BatchSession(EngineSession):
                 counts[p2] += 1
                 counts[q2] += 1
                 effective += 1
-                dirty = dirty_by_pq.get(pq)
-                if dirty is None:
-                    touched: set[int] = set()
-                    for s in (p, q, p2, q2):
-                        touched.update(state_classes[s])
-                    dirty = sorted(touched)
-                    dirty_by_pq[pq] = dirty
-                for j in dirty:
+                for j in dirty_by_pq[pq]:
                     w = classes[j].weight(counts)
                     W_active += w - weights[j]
                     weights[j] = w
@@ -193,6 +192,56 @@ class BatchSession(EngineSession):
         self.effective = effective
         self._high_water = high_water
         self._converged = converged
+
+    def _advance_kernel(self, target: int) -> None:
+        """:meth:`_advance_inner` with the loop in the ``pair_block`` kernel."""
+        kernels = self._kernel_plan.kernels
+        bind = kernels.bind
+        rules, dirty = self._kernel_plan.pair_tables
+        i64 = np.int64
+        counts_arr = np.asarray(self.counts, dtype=i64)
+        states_arr = np.asarray(self._states, dtype=i64)
+        weights_arr = np.asarray(self._weights, dtype=i64)
+        buf_a = np.asarray(self._buf_a, dtype=i64)
+        buf_b = np.asarray(self._buf_b, dtype=i64)
+        ms_buf = np.zeros(self._n + 2, dtype=i64)
+        reg = np.asarray(
+            [self._pos, self.interactions, self.effective, self._W,
+             self._high_water, 0],
+            dtype=i64,
+        )
+        head = (
+            bind(states_arr), bind(counts_arr), *rules, bind(weights_arr), *dirty
+        )
+        tail = (bind(ms_buf), bind(reg))
+        track = -1 if self._track is None else self._track
+        kern = kernels.pair_block
+        while True:
+            status = kern(
+                *head, bind(buf_a), bind(buf_b), *tail, self._S, target, track
+            )
+            ms_len = int(reg[5])
+            if ms_len:
+                self.milestones.extend(ms_buf[:ms_len].tolist())
+            if status != KERNEL_REFILL:
+                break
+            # Same block draw the pure-Python loop makes, at the same
+            # interaction count: identical random stream.
+            a_arr, b_arr = self._sample_pairs(
+                min(self._block, self._budget - int(reg[1]))
+            )
+            buf_a = np.ascontiguousarray(a_arr, dtype=i64)
+            buf_b = np.ascontiguousarray(b_arr, dtype=i64)
+            reg[0] = 0
+
+        self._states = states_arr.tolist()
+        self.counts[:] = counts_arr.tolist()
+        self._weights = weights_arr.tolist()
+        self._buf_a = buf_a.tolist()
+        self._buf_b = buf_b.tolist()
+        (self._pos, self.interactions, self.effective, self._W,
+         self._high_water, _) = reg.tolist()
+        self._converged = status == KERNEL_CONVERGED
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -237,14 +286,7 @@ class BatchSession(EngineSession):
         counts[q2] += 1
         states[a] = p2
         states[b] = q2
-        dirty = self._dirty_by_pq.get(pq)
-        if dirty is None:
-            touched: set[int] = set()
-            for s in (p_own, q_own, p2, q2):
-                touched.update(self._state_classes[s])
-            dirty = sorted(touched)
-            self._dirty_by_pq[pq] = dirty
-        for j in dirty:
+        for j in self._dirty_by_pq[pq]:
             w = self._classes[j].weight(counts)
             self._W += w - self._weights[j]
             self._weights[j] = w

@@ -40,7 +40,11 @@ proxy).  Three steppers share it: :class:`CountBasedSession`, the
 hybrid engine's phase-2 tail, and the ensemble engine's scalar
 finisher — which is also what guarantees a run's telemetry is emitted
 once, by the owning engine, instead of the internal tail double
-counting as a ``count`` run.
+counting as a ``count`` run.  :class:`KernelJumpChain` is the same
+core with :meth:`~JumpChain.advance` in the compiled ``jump_chain``
+kernel; :class:`CountBasedSession` uses it whenever
+:func:`~repro.engine.kernels.session_kernels` finds a native kernel the
+run can use, and the result is bit-identical either way.
 
 Limitation: the derivation requires the uniform scheduler (the one the
 paper simulates); for other schedulers use the agent-based engine.
@@ -56,12 +60,23 @@ import numpy as np
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
 from .base import Engine, StepCallback
+from .kernels import (
+    KERNEL_CONVERGED,
+    KERNEL_EXHAUSTED,
+    KERNEL_REFILL,
+    KERNEL_SILENT,
+    KernelPlan,
+    session_kernels,
+)
 from .sampling import FenwickWeights
 from .session import EngineSession
 
-__all__ = ["CountBasedEngine", "CountBasedSession", "JumpChain"]
+__all__ = ["CountBasedEngine", "CountBasedSession", "JumpChain", "KernelJumpChain"]
 
 _RAND_BLOCK = 4096
+
+#: Position of the random block among a kernel chain's bound arguments.
+_RAND_ARG = 13
 
 
 class JumpChain:
@@ -88,28 +103,18 @@ class JumpChain:
         draw: bool = True,
     ) -> None:
         compiled = protocol.compiled
-        classes = compiled.classes
-        state_classes = compiled.state_classes
-        R = len(classes)
+        # Shared, read-only class tables, built once per protocol.  The
+        # affected lists keep the per-event update loop allocation-free.
+        tables = compiled.class_tables
         self._compiled = compiled
-        self.classes = classes
-        self.in1 = [c.in1 for c in classes]
-        self.in2 = [c.in2 for c in classes]
-        self.out1 = [c.out1 for c in classes]
-        self.out2 = [c.out2 for c in classes]
-        self.same = [c.same for c in classes]
-        self.mult = [c.multiplier for c in classes]
-
-        # Precompute, per class, which classes' weights can change when
-        # it fires (classes sharing any of its four touched states).
-        # This keeps the per-event update loop allocation-free.
-        affected: list[list[int]] = []
-        for c in classes:
-            dirty: set[int] = set()
-            for s in {c.in1, c.in2, c.out1, c.out2}:
-                dirty.update(state_classes[s])
-            affected.append(sorted(dirty))
-        self.affected = affected
+        self.classes = compiled.classes
+        self.in1 = tables.in1
+        self.in2 = tables.in2
+        self.out1 = tables.out1
+        self.out2 = tables.out2
+        self.same = tables.same
+        self.mult = tables.mult
+        self.affected = tables.affected
 
         self.counts = counts
         self.rng = rng
@@ -130,18 +135,18 @@ class JumpChain:
         self.exhausted = False
         self._pair_class: dict[tuple[int, int], int] | None = None
 
+    def class_weights(self) -> list[int]:
+        """Per-class active weights of the current counts."""
+        counts = self.counts
+        weights = []
+        for i1, i2, same, mult in zip(self.in1, self.in2, self.same, self.mult):
+            c = counts[i1]
+            weights.append(c * (c - 1) if same else mult * c * counts[i2])
+        return weights
+
     def rebuild_weights(self) -> None:
         """(Re)derive the Fenwick weights from the current counts."""
-        counts = self.counts
-        in1, in2, same, mult = self.in1, self.in2, self.same, self.mult
-
-        def class_weight(r: int) -> int:
-            if same[r]:
-                c = counts[in1[r]]
-                return c * (c - 1)
-            return mult[r] * counts[in1[r]] * counts[in2[r]]
-
-        self.weights = FenwickWeights(class_weight(r) for r in range(len(in1)))
+        self.weights = FenwickWeights(self.class_weights())
 
     # ------------------------------------------------------------------
     # The jump-chain loop
@@ -327,8 +332,115 @@ class JumpChain:
         return None
 
 
+class KernelJumpChain(JumpChain):
+    """A :class:`JumpChain` whose :meth:`advance` runs in the kernel.
+
+    Construction, snapshot capture/restore and driven
+    ``apply_pair``/``audit`` are inherited, so snapshots interoperate
+    with the Python loop.  The kernel's int64 weight array is the
+    truth between advances; :attr:`weights` builds the Fenwick view on
+    demand (driven execution and audits), and the next advance adopts
+    whatever was written through it.
+
+    The chain binds its buffers once, at construction.  A refill
+    overwrites ``rand`` in place (``Generator.random(out=...)`` draws
+    exactly the stream ``random(size)`` draws), so only a restored
+    ``rand`` needs binding again.
+    """
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        counts: list[int],
+        rng: np.random.Generator,
+        n_total: int,
+        *,
+        plan: KernelPlan,
+        draw: bool = True,
+    ) -> None:
+        self._values = np.empty(len(protocol.compiled.classes), dtype=np.int64)
+        self._fenwick: FenwickWeights | None = None
+        super().__init__(protocol, counts, rng, n_total, draw=draw)
+        self._kernels = plan.kernels
+        self._counts_arr = np.empty(len(counts), dtype=np.int64)
+        self._ms_buf = np.zeros(n_total + 2, dtype=np.int64)
+        self._reg = np.zeros(6, dtype=np.int64)
+        bind = plan.kernels.bind
+        self._args = [
+            bind(self._counts_arr), bind(self._values), *plan.jump_tables,
+            None, bind(self._ms_buf), bind(self._reg),
+        ]
+        self._bound_rand: np.ndarray | None = None
+
+    @property
+    def weights(self) -> FenwickWeights:
+        if self._fenwick is None:
+            self._fenwick = FenwickWeights(self._values.tolist())
+        return self._fenwick
+
+    def rebuild_weights(self) -> None:
+        self._values[:] = self.class_weights()
+        self._fenwick = None
+
+    def advance(self, ctx, target: int) -> None:
+        fenwick = self._fenwick
+        if fenwick is not None:
+            self._values[:] = fenwick.to_list()
+            self._fenwick = None
+        counts_arr = self._counts_arr
+        counts_arr[:] = self.counts
+        if self.rand is None:  # pragma: no cover — restore always refills
+            self.rand = self.rng.random(_RAND_BLOCK)
+            self.rand_pos = 0
+        args = self._args
+        if self._bound_rand is not self.rand:
+            args[_RAND_ARG] = self._kernels.bind(self.rand)
+            self._bound_rand = self.rand
+        reg = self._reg
+        reg[0] = self.rand_pos
+        reg[1] = ctx.interactions
+        reg[2] = ctx.effective
+        reg[3] = int(self._values.sum())
+        reg[4] = ctx._high_water
+        track = -1 if ctx._track is None else ctx._track
+        budget = ctx._budget
+        kern = self._kernels.jump_chain
+        ms_buf = self._ms_buf
+        milestones = ctx.milestones
+        while True:
+            status = kern(*args, self.T, target, budget, track)
+            ms_len = int(reg[5])
+            if ms_len:
+                milestones.extend(ms_buf[:ms_len].tolist())
+            if status != KERNEL_REFILL:
+                break
+            # The wrapper owns the Generator: refill at exactly the
+            # stream position the pure-Python loop refills at.
+            self.rng.random(out=self.rand)
+            reg[0] = 0
+
+        self.counts[:] = counts_arr.tolist()
+        pos, interactions, effective, W, high_water, _ = reg.tolist()
+        self.rand_pos = pos
+        self.converged = status == KERNEL_CONVERGED or (
+            status == KERNEL_SILENT and self.pred is None
+        )
+        self.silent = status == KERNEL_SILENT or (
+            status == KERNEL_CONVERGED and W == 0
+        )
+        self.exhausted = status == KERNEL_EXHAUSTED
+        ctx.interactions = interactions
+        ctx.effective = effective
+        ctx._high_water = high_water
+
+
 class CountBasedSession(EngineSession):
-    """Stepper for :class:`CountBasedEngine`: one :class:`JumpChain`."""
+    """Stepper for :class:`CountBasedEngine`: one :class:`JumpChain`.
+
+    The chain is a :class:`KernelJumpChain` whenever
+    :func:`~repro.engine.kernels.session_kernels` finds a native kernel
+    the run can use, and the Python :class:`JumpChain` otherwise.
+    """
 
     def __init__(
         self,
@@ -352,11 +464,19 @@ class CountBasedSession(EngineSession):
             track_state=track_state,
             on_effective=on_effective,
         )
+        self._kernel_plan = session_kernels(protocol, self._n, on_effective)
         self._chain = self._make_chain(draw=True)
 
     def _make_chain(self, *, draw: bool = True) -> JumpChain:
-        """Build the jump-chain core (the kernel tier overrides this)."""
-        return JumpChain(self._protocol, self.counts, self._rng, self._n, draw=draw)
+        """Build the jump-chain core: kernel-backed when possible."""
+        if self._kernel_plan is None:
+            return JumpChain(
+                self._protocol, self.counts, self._rng, self._n, draw=draw
+            )
+        return KernelJumpChain(
+            self._protocol, self.counts, self._rng, self._n,
+            plan=self._kernel_plan, draw=draw,
+        )
 
     def _advance_inner(self, target: int) -> None:
         chain = self._chain
@@ -386,7 +506,6 @@ class CountBasedEngine(Engine):
     """Jump-chain engine: O(log #rules) per effective interaction."""
 
     name = "count"
-    _session_cls: type[CountBasedSession] = CountBasedSession
 
     def start(
         self,
@@ -399,7 +518,7 @@ class CountBasedEngine(Engine):
         track_state: str | int | None = None,
         on_effective: StepCallback | None = None,
     ) -> CountBasedSession:
-        return self._session_cls(
+        return CountBasedSession(
             self,
             protocol,
             n,

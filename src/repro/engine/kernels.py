@@ -8,22 +8,32 @@ This module provides the same two loops as *kernels* — allocation-free
 state machines over flat int64/float64 arrays — behind three
 interchangeable backends:
 
+``cc``
+    The state machines below transcribed to C, compiled once per
+    source hash with the system C compiler (``cc``/``gcc``) into a
+    cached shared object and called through :mod:`ctypes`.  Used when
+    a C compiler is available.
 ``numba``
     :func:`numba.njit`-compiled versions of the Python kernel bodies
-    below.  Used when Numba is importable.
-``cc``
-    The same state machines transcribed to C, compiled once per source
-    hash with the system C compiler (``cc``/``gcc``) into a cached
-    shared object and called through :mod:`ctypes`.  Used when a C
-    compiler is available and Numba is not.
+    below.  Never selected automatically; ``REPRO_KERNEL=numba`` builds
+    it when Numba is importable.
 ``python``
-    The plain-Python kernel bodies themselves.  Always available; the
-    jit engine tiers then run at roughly the speed of the ordinary
-    tiers while keeping the exact same wrapper code paths.
+    The plain-Python kernel bodies themselves.  Always available, but
+    not *native*: sessions never run their loops on it and keep their
+    own Python loops instead (see :func:`session_kernels`).
 
-Backend selection is automatic (``numba`` → ``cc`` → ``python``) and
-can be forced with the ``REPRO_KERNEL`` environment variable; forcing
-an unavailable backend fails loudly instead of silently degrading.
+Backend selection is automatic (``cc`` → ``python``) and can be forced
+with the ``REPRO_KERNEL`` environment variable; forcing an unavailable
+backend fails loudly instead of silently degrading.
+
+The ``count`` and ``batch`` sessions (and their ``count-jit`` and
+``batch-jit`` names) run on these kernels whenever
+:func:`session_kernels` finds a native backend the run can use.
+Every kernel array goes through :attr:`KernelSet.bind` once — a
+protocol's tables once per :class:`KernelTables`, its stability CSR
+once per :class:`KernelPlan` (one per population size), a session's
+own buffers when it allocates them — so the dtype and contiguity check
+is not repeated on every call.
 
 Bit-identity discipline
 -----------------------
@@ -35,10 +45,10 @@ positions the pure-Python tier would have and re-enters.  Combined with
 exact integer weight arithmetic (all prefix sums stay far below 2**53,
 so the ``double`` comparisons below are exact) and the shared libm
 ``log``/``log1p``, a kernel-tier run is bit-identical to its Python
-tier: same counts, same interaction totals, same milestones, same
-consumed random stream.  The sliced-session parity tests compare the
-two tiers end to end, and ``conform diff`` drives the jit sessions'
-data structures against the name-level oracle.
+loop: same counts, same interaction totals, same milestones, same
+consumed random stream.  The parity tests compare kernel runs with
+the pure-Python loops end to end, and ``conform diff`` drives the
+kernel sessions' data structures against the name-level oracle.
 
 The declarative stability test consumed here is
 :class:`~repro.core.protocol.StabilitySignature` in CSR form
@@ -49,19 +59,24 @@ The declarative stability test consumed here is
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
+import weakref
 from collections.abc import Callable
-from dataclasses import dataclass
+from functools import cached_property
 from math import log, log1p
 from pathlib import Path
 
 import numpy as np
 
+from ..core.compiler import CompiledProtocol
+from ..core.protocol import Protocol
 from ..obs.instruments import record_kernel_compile
 
 __all__ = [
@@ -69,6 +84,10 @@ __all__ = [
     "KernelBuildError",
     "get_kernels",
     "reset_kernels",
+    "session_kernels",
+    "stability_csr",
+    "KernelPlan",
+    "KernelTables",
     "KERNEL_REFILL",
     "KERNEL_PAUSE",
     "KERNEL_CONVERGED",
@@ -89,6 +108,10 @@ KERNEL_EXHAUSTED = 4  #: interaction budget ran out mid-skip
 #: Above this, a geometric null-skip certainly exceeds any budget
 #: (budgets are at most 2**62); guards the float->int64 conversion.
 _HUGE_SKIP = 9.0e18
+
+#: Weights (at most ``T = n(n-1)``) must stay below this for the
+#: kernels' double comparisons to be exact.
+_EXACT_LIMIT = 2**53
 
 
 class KernelBuildError(RuntimeError):
@@ -519,14 +542,26 @@ int64_t pair_block(int64_t *states, int64_t *counts, const int64_t *dflat,
 # ----------------------------------------------------------------------
 # Backend construction
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+def _as_is(array: np.ndarray) -> np.ndarray:
+    return array
+
+
+@dataclasses.dataclass(frozen=True)
 class KernelSet:
-    """The active pair of kernels and the backend that produced them."""
+    """The active pair of kernels and the backend that produced them.
+
+    Every array argument of :attr:`jump_chain` and :attr:`pair_block`
+    must first go through :attr:`bind`, which checks it once and
+    returns the form the backend's calls take.  A bound array stays
+    valid for as long as the array itself; refill it in place, or bind
+    its replacement.
+    """
 
     backend: str  # "numba" | "cc" | "python"
     jump_chain: Callable
     pair_block: Callable
     compile_seconds: float
+    bind: Callable[[np.ndarray], object] = _as_is
 
     @property
     def native(self) -> bool:
@@ -534,29 +569,29 @@ class KernelSet:
         return self.backend != "python"
 
 
-def _warmup(jump_chain: Callable, pair_block: Callable) -> None:
+def _warmup(kernels: KernelSet) -> None:
     """Call both kernels on degenerate inputs (forces JIT compilation).
 
     The dummy jump chain is silent (W=0) and the dummy pair block is
     buffer-empty with target 0, so neither touches the random buffers.
     """
-    z1 = np.zeros(1, dtype=np.int64)
-    z2 = np.zeros(2, dtype=np.int64)
-    e = np.zeros(0, dtype=np.int64)
-    reg = np.zeros(6, dtype=np.int64)
-    jump_chain(
-        np.asarray([2], dtype=np.int64), z1.copy(),
+    def i64(*values: int) -> object:
+        return kernels.bind(np.asarray(values, dtype=np.int64))
+
+    z1, z2, e = i64(0), i64(0, 0), i64()
+    kernels.jump_chain(
+        i64(2), i64(0),
         z1, z1, z1, z1, z1, z1,
-        z2, e, z1.copy(), e, e,
-        np.zeros(8, dtype=np.float64), np.zeros(4, dtype=np.int64), reg,
+        z2, e, i64(0), e, e,
+        kernels.bind(np.zeros(8, dtype=np.float64)), i64(0, 0, 0, 0),
+        i64(0, 0, 0, 0, 0, 0),
         2, 0, 0, -1,
     )
-    reg[:] = 0
-    pair_block(
-        z2.copy(), np.asarray([2], dtype=np.int64), z1,
-        z1, z1, z1, z1, z1.copy(),
-        z2, e, z1.copy(), e, e,
-        e, e, np.zeros(4, dtype=np.int64), reg,
+    kernels.pair_block(
+        i64(0, 0), i64(2), z1,
+        z1, z1, z1, z1, i64(0),
+        z2, e, i64(0), e, e,
+        e, e, i64(0, 0, 0, 0), i64(0, 0, 0, 0, 0, 0),
         1, 0, -1,
     )
 
@@ -569,12 +604,11 @@ def _build_numba() -> KernelSet:
     t0 = time.perf_counter()
     try:
         jit = numba.njit(cache=True, fastmath=False)
-        jump_chain = jit(_jump_chain_py)
-        pair_block = jit(_pair_block_py)
-        _warmup(jump_chain, pair_block)
+        kernels = KernelSet("numba", jit(_jump_chain_py), jit(_pair_block_py), 0.0)
+        _warmup(kernels)
     except Exception as exc:  # noqa: BLE001 — compile failures disable it
         raise KernelBuildError(f"numba kernel compilation failed: {exc}") from exc
-    return KernelSet("numba", jump_chain, pair_block, time.perf_counter() - t0)
+    return dataclasses.replace(kernels, compile_seconds=time.perf_counter() - t0)
 
 
 def _cc_cache_dir() -> Path:
@@ -615,8 +649,10 @@ def _build_cc() -> KernelSet:
         raise KernelBuildError(f"could not load compiled kernels: {exc}") from exc
 
     i64 = ctypes.c_int64
-    arr = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
-    farr = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
+    # Typed pointers: ctypes rejects a bound float64 array in an int64
+    # slot (and vice versa) on every call, at C speed.
+    arr = ctypes.POINTER(ctypes.c_int64)
+    farr = ctypes.POINTER(ctypes.c_double)
 
     lib.jump_chain.restype = i64
     lib.jump_chain.argtypes = [
@@ -641,24 +677,47 @@ def _build_cc() -> KernelSet:
     def jump_chain(counts, values, in1, in2, out1, out2, same, mult,
                    aff_off, aff_idx, sig_off, sig_idx, sig_want,
                    rand_buf, ms_buf, reg, T, target, budget, track):
-        return int(lib.jump_chain(
+        return lib.jump_chain(
             counts, values, in1, in2, out1, out2, same, mult,
             aff_off, aff_idx, sig_off, sig_idx, sig_want, len(sig_want),
             rand_buf, len(rand_buf), ms_buf, reg,
             len(values), T, target, budget, track,
-        ))
+        )
 
     def pair_block(states, counts, dflat, in1, in2, same, mult, weights,
                    pq_off, pq_idx, sig_off, sig_idx, sig_want,
                    buf_a, buf_b, ms_buf, reg, S, target, track):
-        return int(lib.pair_block(
+        return lib.pair_block(
             states, counts, dflat, in1, in2, same, mult, weights,
             pq_off, pq_idx, sig_off, sig_idx, sig_want, len(sig_want),
             buf_a, buf_b, len(buf_a), ms_buf, reg, S, target, track,
-        ))
+        )
 
-    _warmup(jump_chain, pair_block)
-    return KernelSet("cc", jump_chain, pair_block, time.perf_counter() - t0)
+    kernels = KernelSet("cc", jump_chain, pair_block, 0.0, _bind_cc)
+    _warmup(kernels)
+    return dataclasses.replace(kernels, compile_seconds=time.perf_counter() - t0)
+
+
+_CTYPES_ELEMENT = {
+    np.dtype(np.int64): ctypes.c_int64,
+    np.dtype(np.float64): ctypes.c_double,
+}
+
+
+def _bind_cc(array: np.ndarray) -> ctypes.Array:
+    """A ctypes array over ``array``'s memory (no copy).
+
+    The check ``ndpointer`` argtypes would make on every call, made
+    once: a 1-D C-contiguous int64 or float64 array.  The ctypes array
+    keeps ``array`` alive and sees every in-place write to it.
+    """
+    element = _CTYPES_ELEMENT.get(array.dtype)
+    if element is None or array.ndim != 1 or not array.flags.c_contiguous:
+        raise TypeError(
+            "kernel arrays must be 1-D C-contiguous int64 or float64, got "
+            f"{array.dtype} with shape {array.shape}"
+        )
+    return (element * array.shape[0]).from_buffer(array)
 
 
 def _build_python() -> KernelSet:
@@ -666,7 +725,7 @@ def _build_python() -> KernelSet:
 
 
 _BUILDERS = {"numba": _build_numba, "cc": _build_cc, "python": _build_python}
-_AUTO_ORDER = ("numba", "cc", "python")
+_AUTO_ORDER = ("cc", "python")
 
 _ACTIVE: KernelSet | None = None
 
@@ -699,8 +758,8 @@ def get_kernels() -> KernelSet:
     """The process-wide :class:`KernelSet` (built on first use).
 
     Selection honours ``REPRO_KERNEL``: ``auto`` (default) tries
-    ``numba``, then ``cc``, then falls back to ``python``; naming a
-    backend demands exactly that one and raises
+    ``cc``, then falls back to ``python``; naming a backend (``numba``
+    included) demands exactly that one and raises
     :class:`KernelBuildError` when it cannot be built.
     """
     global _ACTIVE
@@ -714,3 +773,131 @@ def reset_kernels() -> None:
     """Drop the cached :class:`KernelSet` (tests switching backends)."""
     global _ACTIVE
     _ACTIVE = None
+
+
+def stability_csr(
+    protocol: Protocol, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The stability test for ``n`` in the CSR form kernels evaluate.
+
+    The :meth:`~repro.core.protocol.StabilitySignature.arrays` of the
+    protocol's signature; three empty arrays when it has no stability
+    predicate (silence is then the criterion); None when the predicate
+    has no signature, so no kernel can run it.
+    """
+    if protocol.stability_predicate(n) is None:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), empty, empty.copy()
+    signature = protocol.stability_signature(n)
+    # An empty signature would read as "test silence instead".
+    if signature is None or not signature.groups:
+        return None
+    return signature.arrays()
+
+
+class KernelTables:
+    """One protocol's class and rule tables, bound once for a kernel set.
+
+    Shared by the :class:`KernelPlan` of every population size the
+    protocol runs at.
+    """
+
+    def __init__(self, kernels: KernelSet, compiled: CompiledProtocol) -> None:
+        self.kernels = kernels
+        self._compiled = compiled
+
+    @cached_property
+    def jump(self) -> tuple:
+        """Bound ``in1, in2, out1, out2, same, mult, aff_off, aff_idx``."""
+        return tuple(map(self.kernels.bind, self._compiled.class_tables.arrays))
+
+    @cached_property
+    def pair(self) -> tuple[tuple, tuple]:
+        """Bound ``(dflat, in1, in2, same, mult)`` and ``(pq_off, pq_idx)``."""
+        bind = self.kernels.bind
+        pair = self._compiled.pair_tables
+        in1, in2, _, _, same, mult, _, _ = self.jump
+        return (bind(pair.delta), in1, in2, same, mult), (
+            bind(pair.pq_off), bind(pair.pq_idx)
+        )
+
+
+class KernelPlan:
+    """The kernel inputs of one ``(protocol, n)``, bound once.
+
+    Sessions bind only their own buffers; the class and rule tables
+    come from the protocol's :class:`KernelTables`, and the stability
+    CSR at ``n`` is bound here, a single time per plan instead of once
+    per trial.
+    """
+
+    def __init__(
+        self,
+        tables: KernelTables,
+        signature: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        self.kernels = tables.kernels
+        self.signature = signature
+        self._tables = tables
+
+    @cached_property
+    def _bound_signature(self) -> tuple:
+        return tuple(map(self.kernels.bind, self.signature))
+
+    @cached_property
+    def jump_tables(self) -> tuple:
+        """Bound ``in1 .. aff_idx, sig_off, sig_idx, sig_want``: the
+        ``jump_chain`` arguments between ``values`` and ``rand_buf``."""
+        return (*self._tables.jump, *self._bound_signature)
+
+    @cached_property
+    def pair_tables(self) -> tuple[tuple, tuple]:
+        """Bound ``(dflat, in1, in2, same, mult)`` and ``(pq_off, pq_idx,
+        sig_off, sig_idx, sig_want)``: the ``pair_block`` arguments
+        either side of ``weights``."""
+        rules, dirty = self._tables.pair
+        return rules, (*dirty, *self._bound_signature)
+
+
+#: Per protocol (held weakly): its tables bound for the active kernel
+#: set, and its plan per population size (None when no kernel can run
+#: it).  Plans point at the tables, never the reverse: with no cycle
+#: of their own, they go in the same collection as their protocol.
+_TABLES: weakref.WeakKeyDictionary[
+    Protocol, tuple[KernelTables, dict[int, KernelPlan | None]]
+] = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+_UNBUILT = object()
+
+
+def session_kernels(
+    protocol: Protocol, n: int, on_effective: object
+) -> KernelPlan | None:
+    """The kernel plan a session of ``protocol`` at ``n`` can run on.
+
+    None when the session must keep its own Python loop: it has an
+    ``on_effective`` callback (kernels cannot call back out),
+    ``n(n-1)`` is too large for exact double comparisons, no native
+    backend exists, or its predicate has no
+    :class:`~repro.core.protocol.StabilitySignature`.  Plans are built
+    once per ``(protocol, n)`` and kernel set, over tables bound once
+    per protocol.
+    """
+    if on_effective is not None or n * (n - 1) >= _EXACT_LIMIT:
+        return None
+    kernels = get_kernels()
+    if not kernels.native:
+        return None
+    with _TABLES_LOCK:
+        entry = _TABLES.get(protocol)
+        if entry is None or entry[0].kernels is not kernels:
+            entry = _TABLES[protocol] = (
+                KernelTables(kernels, protocol.compiled), {}
+            )
+        tables, plans = entry
+        plan = plans.get(n, _UNBUILT)
+        if plan is _UNBUILT:
+            signature = stability_csr(protocol, n)
+            plan = None if signature is None else KernelPlan(tables, signature)
+            plans[n] = plan
+        return plan

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..core.errors import ReproError
 from ..obs.instruments import record_scan_rows, record_shard_write
+from ..obs.trace import git_revision
 
 __all__ = [
     "ColumnStore",
@@ -91,20 +92,10 @@ def is_column_store(path: str | Path) -> bool:
 
 def _provenance() -> dict:
     """Best-effort provenance block (mirrors the campaign store's)."""
-    import subprocess
-
     from .. import __version__
 
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5, check=False,
-        )
-        rev = out.stdout.strip() if out.returncode == 0 else None
-    except OSError:
-        rev = None
     return {
-        "git_rev": rev or None,
+        "git_rev": git_revision(),
         "package_version": __version__,
         "numpy": np.__version__,
         "created_at": time.time(),

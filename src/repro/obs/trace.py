@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import platform
 import subprocess
+import threading
 import time
 from pathlib import Path
 from contextlib import contextmanager
@@ -40,23 +41,40 @@ __all__ = [
     "active_trace_writer",
     "read_trace",
     "provenance",
+    "git_revision",
 ]
 
 #: Trace format version, written into every header record.
 TRACE_SCHEMA = 1
 
 
-def _git_rev() -> str | None:
-    """Current git revision, or None outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5, check=False,
-        )
-    except OSError:
-        return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+#: The package directory: git runs there, never in the caller's cwd.
+_PACKAGE_DIR = Path(__file__).resolve().parents[1]
+
+#: ``[revision]`` once resolved; holds None outside a checkout.
+_GIT_REVISION: list[str | None] = []
+_GIT_LOCK = threading.Lock()
+
+
+def git_revision() -> str | None:
+    """Git revision of the checkout the package runs from, or None.
+
+    Resolved at most once per process (one ``git`` spawn), from the
+    package directory, so a process started outside the checkout still
+    records the revision of the code it runs.
+    """
+    with _GIT_LOCK:
+        if not _GIT_REVISION:
+            try:
+                out = subprocess.run(
+                    ["git", "rev-parse", "HEAD"], cwd=_PACKAGE_DIR,
+                    capture_output=True, text=True, timeout=5, check=False,
+                )
+                rev = out.stdout.strip() if out.returncode == 0 else ""
+            except (OSError, subprocess.SubprocessError):
+                rev = ""
+            _GIT_REVISION.append(rev or None)
+        return _GIT_REVISION[0]
 
 
 def provenance() -> dict[str, object]:
@@ -66,7 +84,7 @@ def provenance() -> dict[str, object]:
     from .. import __version__
 
     return {
-        "git_rev": _git_rev(),
+        "git_rev": git_revision(),
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": numpy.__version__,

@@ -61,6 +61,33 @@ class TestDrain:
         pooled.close()
 
 
+class TestKernelBackedJobs:
+    """Jobs on the kernel-backed engines commit: every trial record goes
+    through the JSON of ``save_checkpoint`` and ``mark_done``."""
+
+    @pytest.mark.parametrize("engine", ["count", "count-jit"])
+    def test_drain_commits_through_checkpoints(self, store, monkeypatch, engine):
+        spec = make_spec(n=40, trials=3, seed=5, engine=engine)
+        digest, _ = store.submit(spec)
+        checkpoints = []
+        real_save = store.save_checkpoint
+
+        def save_checkpoint(digest_, **kwargs):
+            checkpoints.append(kwargs["session"] is None)
+            return real_save(digest_, **kwargs)
+
+        monkeypatch.setattr(store, "save_checkpoint", save_checkpoint)
+        report = run_campaign(store, retries=0, checkpoint_interactions=40)
+        assert (report.executed, report.failed) == (1, 0)
+        assert False in checkpoints  # mid-trial session snapshots
+        assert checkpoints.count(True) == spec.trials  # trial boundaries
+        record = store.result_record(digest)
+        assert len(record["results"]) == spec.trials
+        for trial in record["results"]:
+            assert type(trial["silent"]) is bool
+            assert type(trial["converged"]) is bool
+
+
 class TestFailure:
     def test_bad_job_fails_after_retries(self, store):
         # An unknown protocol parameter fails identically every attempt.

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
 from repro import run_trials, uniform_k_partition
+from repro.campaign import CampaignStore, JobSpec
+from repro.campaign.executor import execute_spec
+from repro.io.columnar import ShardWriter
 from repro.obs import TraceWriter, read_trace, use_trace_writer
-from repro.obs.trace import TRACE_SCHEMA, active_trace_writer, provenance
+from repro.obs import trace as trace_module
+from repro.obs.trace import (
+    TRACE_SCHEMA,
+    active_trace_writer,
+    git_revision,
+    provenance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +33,53 @@ class TestProvenance:
         assert prov["package_version"]
         assert prov["python_version"]
         assert prov["numpy_version"]
+
+
+class TestGitRevision:
+    @pytest.fixture()
+    def git_spawns(self, tmp_path, monkeypatch):
+        """A fresh process state in a foreign cwd, counting git spawns."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(trace_module, "_GIT_REVISION", [])
+        spawns: list[list[str]] = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            if cmd[0] == "git":
+                spawns.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        return spawns
+
+    def test_resolved_from_package_dir_not_cwd(self, git_spawns):
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=trace_module._PACKAGE_DIR,
+            capture_output=True, text=True, check=False,
+        )
+        expected = out.stdout.strip() if out.returncode == 0 else None
+        assert git_revision() == (expected or None)
+
+    def test_spawns_at_most_once_per_process(self, git_spawns, tmp_path):
+        rev = git_revision()
+        assert len(git_spawns) <= 1
+        store = CampaignStore(tmp_path / "campaign.db")
+        for seed in range(3):
+            digest, _ = store.submit(JobSpec(
+                protocol="uniform-k-partition", params={"k": 3}, n=9,
+                trials=2, seed=seed,
+            ))
+            payload = execute_spec(store.claim_next().spec.canonical())
+            store.mark_done(
+                digest, summary=payload["summary"], record=payload["record"],
+                wall_time=payload["wall_time"],
+            )
+            assert store.get(digest).git_rev == rev
+        store.close()
+        with ShardWriter(tmp_path / "cols", name="t", params={}) as sink:
+            sink.append_keyed("k", [{"x": 1}])
+        assert provenance()["git_rev"] == rev
+        assert len(git_spawns) <= 1
 
 
 class TestTraceWriter:
