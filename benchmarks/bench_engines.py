@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine, HybridEngine
+from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
 from repro.protocols import uniform_k_partition
 
 PROTOCOL = uniform_k_partition(4)
@@ -20,8 +20,8 @@ N = 240
 
 @pytest.mark.parametrize(
     "engine",
-    [AgentBasedEngine(), BatchEngine(), CountBasedEngine(), HybridEngine()],
-    ids=["agent", "batch", "count", "hybrid"],
+    [AgentBasedEngine(), BatchEngine(), CountBasedEngine()],
+    ids=["agent", "batch", "count"],
 )
 def test_engine_throughput(benchmark, engine):
     # Consume a seed per round so rounds are i.i.d. executions.

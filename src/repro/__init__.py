@@ -51,8 +51,6 @@ from .engine import (
     AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
-    EnsembleEngine,
-    HybridEngine,
     SimulationResult,
     TrialSet,
     available_engines,
@@ -112,8 +110,6 @@ __all__ = [
     "AgentBasedEngine",
     "BatchEngine",
     "CountBasedEngine",
-    "EnsembleEngine",
-    "HybridEngine",
     "SimulationResult",
     "TrialSet",
     "available_engines",

@@ -151,8 +151,9 @@ def _scaling_specs(
     Reuses the experiment's own :func:`grid_points` snapping, so a
     campaign drain warms exactly the trial-cache keys
     ``repro-experiments scaling-law`` will ask for.  For the full
-    10^5–10^6 study pass ``--engine count-jit`` (or
-    ``ensemble-parallel``) and a ``--columnar`` sink to the runner.
+    10^5–10^6 study pass ``--workers N`` and a ``--columnar`` sink to
+    the runner; the default ``count`` engine runs on the compiled
+    kernel.
     """
     return [
         JobSpec(

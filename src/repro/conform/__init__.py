@@ -1,7 +1,7 @@
 """Conformance: cross-engine differential testing and invariant enforcement.
 
-Five engine implementations (agent, batch, count, hybrid, ensemble)
-share one transition semantics; every performance PR re-derives it.
+Four engine paths (agent, batch, count, graph) share one transition
+semantics; every performance change re-derives it.
 This subsystem makes the agreement *checkable* instead of hoped-for:
 
 * :mod:`repro.conform.invariants` — a pluggable pack of runtime

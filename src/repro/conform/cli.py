@@ -7,7 +7,7 @@ Three verbs::
     conform check  # harness self-test / conformance-checked trials
 
 ``diff`` defaults to the acceptance configuration (uniform k-partition,
-k = 3, n = 300, all eight engine paths) and exits non-zero on any
+k = 3, n = 300, all four engine paths) and exits non-zero on any
 divergence.  ``fuzz`` runs :func:`~repro.conform.fuzzer.default_corpus`
 and exits non-zero if any finding survives.  ``check --self-test``
 plants a corrupted transition-table entry and exits non-zero unless
@@ -92,7 +92,7 @@ def build_conform_parser() -> argparse.ArgumentParser:
         "--engines",
         default=None,
         metavar="A,B,...",
-        help="engine paths to replicate (default: all eight)",
+        help="engine paths to replicate (default: all four)",
     )
     diff.add_argument(
         "--max-interactions",

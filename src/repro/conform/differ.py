@@ -1,18 +1,15 @@
 """Lockstep differential execution of one schedule through every engine.
 
-The engine paths agree *in law* but not bit-for-bit: the count, hybrid
-and ensemble engines consume randomness as a jump chain, so seeding
-them identically to the agent engines cannot line trajectories up.
-What they all share is the transition-application data path — scalar
-``delta_list`` lookups (agent), ``delta_flat`` with incremental active
-weights (batch), interaction classes with Fenwick-indexed weights
-(count), the batch-to-count hand-off (hybrid), the vectorized
-class/weight matrices (ensemble), and the count-jit and batch-jit
-sessions, which drive the same class tables and flat transition
-arrays the compiled kernels consume (as do count and batch whenever a
-native kernel backend exists).  The differ replays one recorded
-:class:`~repro.conform.schedule.InteractionSchedule` through the
-**real engine sessions** — every engine's
+The engine paths agree *in law* but not bit-for-bit: the count engine
+consumes randomness as a jump chain, so seeding it identically to the
+agent-array engines cannot line trajectories up.  What they all share
+is the transition-application data path — scalar ``delta_list``
+lookups (agent), ``delta_flat`` with incremental active weights
+(batch, and graph on its own session), and interaction classes with
+Fenwick-indexed weights (count) — the same class tables and flat
+transition arrays the compiled kernels consume.  The differ replays
+one recorded :class:`~repro.conform.schedule.InteractionSchedule`
+through the **real engine sessions** — every engine's
 :meth:`~repro.engine.session.EngineSession.apply_scheduled` pushes one
 externally chosen interaction through the engine's actual state and
 weight bookkeeping — and diffs the count vectors against the
@@ -39,13 +36,7 @@ from collections.abc import Sequence
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike, ensure_generator
-from ..engine.agent_based import AgentBasedEngine
-from ..engine.batch import BatchEngine
-from ..engine.count_based import CountBasedEngine
-from ..engine.ensemble import EnsembleEngine
-from ..engine.graph_batch import GraphBatchEngine
-from ..engine.hybrid import HybridEngine
-from ..engine.jit import JitBatchEngine, JitCountEngine
+from ..engine.registry import build_engine
 from ..obs.trace import TraceWriter
 from ..scheduling.base import Scheduler
 from ..scheduling.spec import SchedulerSpec
@@ -55,79 +46,13 @@ from .schedule import InteractionSchedule, record_schedule
 __all__ = ["Divergence", "DiffReport", "run_differential", "ENGINE_PATHS"]
 
 #: Engine data paths the differ can drive, in canonical order.
-ENGINE_PATHS = (
-    "agent",
-    "batch",
-    "count",
-    "hybrid",
-    "ensemble",
-    "count-jit",
-    "batch-jit",
-    "graph",
-)
-
-#: Constructors yielding an engine whose session supports driven
-#: execution.  The ensemble engine is pinned to its pure vectorized
-#: path (finish_threshold=0) so the drive exercises the matrix
-#: machinery rather than a scalar-finisher hand-off.  The kernel tiers
-#: drive the identical class tables/flat transition arrays their
-#: compiled kernels consume (``ensemble-parallel`` has no path of its
-#: own — its data path is the ensemble engine's, shard by shard).
-_ENGINE_BUILDERS = {
-    "agent": AgentBasedEngine,
-    "batch": BatchEngine,
-    "count": CountBasedEngine,
-    "hybrid": HybridEngine,
-    "ensemble": lambda: EnsembleEngine(finish_threshold=0),
-    "count-jit": JitCountEngine,
-    "batch-jit": JitBatchEngine,
-    # Driven sessions never sample pairs, so the graph path's topology
-    # is irrelevant to the replay — the complete graph stands in; what
-    # the drive exercises is the graph session's shared batch data path
-    # (incremental weights + apply_scheduled) behind its own audit().
-    "graph": GraphBatchEngine,
-}
-
-
-class _DrivenEngine:
-    """One engine path, driven through its real session.
-
-    ``apply_scheduled`` feeds the oracle's chosen interaction through
-    the engine's genuine data structures (agent arrays, incremental
-    weights, Fenwick trees, vector matrices); ``audit`` asks the
-    session to re-derive its own bookkeeping from first principles.
-    For the hybrid path, the batch-to-count hand-off is forced at
-    ``switch_at`` so every differential run exercises both phases and
-    the state transfer between them.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        protocol: Protocol,
-        counts0: Sequence[int],
-        *,
-        switch_at: int | None = None,
-    ) -> None:
-        self.name = name
-        self._switch_at = switch_at
-        # The session is never advance()d, only driven, so the seed is
-        # irrelevant — driven application consumes no engine randomness.
-        self._session = _ENGINE_BUILDERS[name]().start(
-            protocol, initial_counts=list(counts0), seed=0
-        )
-
-    @property
-    def counts(self) -> list[int]:
-        return list(self._session.counts)
-
-    def step(self, index: int, a: int, b: int, p: int, q: int) -> bool:
-        if self._switch_at is not None and index >= self._switch_at:
-            self._session.switch_now()
-        return self._session.apply_scheduled(a, b, p, q)
-
-    def check(self) -> str | None:
-        return self._session.audit()
+#: ``count-jit`` and ``batch-jit`` are names for the ``count`` and
+#: ``batch`` sessions and have no path of their own.  Driven sessions
+#: never sample pairs, so the graph path's topology is irrelevant to
+#: the replay — its default complete graph stands in; what the drive
+#: exercises is the graph session's shared batch data path
+#: (incremental weights + apply_scheduled) behind its own audit().
+ENGINE_PATHS = ("agent", "batch", "count", "graph")
 
 
 # ----------------------------------------------------------------------
@@ -331,19 +256,16 @@ def run_differential(
         )
 
     counts0 = schedule.initial_counts
-    appliers = []
-    for name in names:
-        if name == "hybrid":
-            appliers.append(
-                _DrivenEngine(
-                    name,
-                    protocol,
-                    counts0,
-                    switch_at=max(1, len(schedule.pairs) // 2),
-                )
-            )
-        else:
-            appliers.append(_DrivenEngine(name, protocol, counts0))
+    # Each path is driven through its real session, never advance()d,
+    # so the seed is irrelevant: driven application consumes no engine
+    # randomness.  apply_scheduled feeds the oracle's interaction
+    # through the engine's genuine data structures (agent arrays,
+    # incremental weights, Fenwick trees); audit re-derives its
+    # bookkeeping from first principles.
+    sessions = {
+        name: build_engine(name).start(protocol, initial_counts=list(counts0), seed=0)
+        for name in names
+    }
 
     # Name-level oracle state (the same layout record_schedule used).
     space = reference.space
@@ -410,12 +332,12 @@ def run_differential(
             report.effective_steps += 1
             effective_since_compare += 1
 
-        for applier in appliers:
-            eff = applier.step(step, a, b, p_idx, q_idx)
+        for name, session in sessions.items():
+            eff = session.apply_scheduled(a, b, p_idx, q_idx)
             if eff != ref_effective:
                 return finish(
                     Divergence(
-                        engine=applier.name,
+                        engine=name,
                         step=step,
                         pair=(a, b),
                         kind="effectiveness",
@@ -424,10 +346,10 @@ def run_differential(
                             f"{'effective' if ref_effective else 'null'} "
                             f"under the rule listing but "
                             f"{'effective' if eff else 'null'} in the "
-                            f"{applier.name} path"
+                            f"{name} path"
                         ),
                         reference_counts=list(ref_counts),
-                        engine_counts=list(applier.counts),
+                        engine_counts=list(session.counts),
                     )
                 )
 
@@ -435,12 +357,12 @@ def run_differential(
         if compare_now:
             effective_since_compare = 0
         if compare_now or step == len(schedule.pairs) - 1:
-            for applier in appliers:
-                have = list(applier.counts)
+            for name, session in sessions.items():
+                have = list(session.counts)
                 if have != ref_counts:
                     return finish(
                         Divergence(
-                            engine=applier.name,
+                            engine=name,
                             step=step,
                             pair=(a, b),
                             kind="counts",
@@ -471,18 +393,18 @@ def run_differential(
 
     # Terminal cross-checks: internal bookkeeping and, when the schedule
     # was recorded rather than hand-built, agreement with its own record.
-    for applier in appliers:
-        problem = applier.check()
+    for name, session in sessions.items():
+        problem = session.audit()
         if problem is not None:
             return finish(
                 Divergence(
-                    engine=applier.name,
+                    engine=name,
                     step=len(schedule.pairs) - 1,
                     pair=schedule.pairs[-1] if schedule.pairs else (-1, -1),
                     kind="consistency",
                     detail=problem,
                     reference_counts=list(ref_counts),
-                    engine_counts=list(applier.counts),
+                    engine_counts=list(session.counts),
                 )
             )
     if (

@@ -235,7 +235,7 @@ def _fuzz_one(
     # jump-chain engines require it).
     if case.deterministic_output and case.scheduler == "uniform":
         outputs: dict[str, tuple[int, ...]] = {}
-        for engine_name in ("agent", "batch", "count", "hybrid", "ensemble"):
+        for engine_name in ("agent", "batch", "count"):
             result = build_engine(engine_name).run(
                 protocol,
                 case.n,

@@ -30,11 +30,6 @@ __all__ = ["Protocol", "StabilitySignature"]
 # (the group of every agent can never change again).
 StabilityPredicate = Callable[[np.ndarray], bool]
 
-# A batched stability predicate receives a (B, S) matrix of B count
-# vectors and returns a boolean vector of length B — the vectorized
-# form the ensemble engine evaluates once per jump-chain step.
-BatchStabilityPredicate = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class StabilitySignature:
@@ -116,13 +111,6 @@ class Protocol:
         stable configuration for ``n mod k == 1`` still admits
         group-preserving ``initial <-> initial'`` flips (rule 4) and is
         therefore stable but not silent.
-    batch_stability_predicate_factory:
-        Optional factory ``n -> predicate(count_matrix) -> bool_vector``
-        producing a *vectorized* stability test over ``(B, S)`` count
-        matrices.  When omitted, :meth:`batch_stability_predicate`
-        falls back to evaluating the scalar predicate row by row, so
-        providing it is purely a performance optimization (the ensemble
-        engine evaluates it once per jump-chain step).
     stability_signature_factory:
         Optional factory ``n -> StabilitySignature`` giving the scalar
         predicate in declarative count-sum form.  Must agree with the
@@ -144,9 +132,6 @@ class Protocol:
         *,
         initial_counts_factory: Callable[[int], np.ndarray] | None = None,
         stability_predicate_factory: Callable[[int], StabilityPredicate] | None = None,
-        batch_stability_predicate_factory: (
-            Callable[[int], BatchStabilityPredicate] | None
-        ) = None,
         stability_signature_factory: (
             Callable[[int], StabilitySignature] | None
         ) = None,
@@ -177,7 +162,6 @@ class Protocol:
         self._initial_state = initial_state
         self._initial_counts_factory = initial_counts_factory
         self._stability_factory = stability_predicate_factory
-        self._batch_stability_factory = batch_stability_predicate_factory
         self._signature_factory = stability_signature_factory
         self._metadata = dict(metadata or {})
 
@@ -283,29 +267,6 @@ class Protocol:
         if self._signature_factory is None:
             return None
         return self._signature_factory(n)
-
-    def batch_stability_predicate(self, n: int) -> BatchStabilityPredicate | None:
-        """Vectorized stability test over ``(B, S)`` count matrices.
-
-        Protocols that supply a ``batch_stability_predicate_factory``
-        get their native vectorized test; protocols with only a scalar
-        predicate get a row-wise wrapper; protocols with neither return
-        None (engines then fall back to silence detection).
-        """
-        if self._batch_stability_factory is not None:
-            return self._batch_stability_factory(n)
-        pred = self.stability_predicate(n)
-        if pred is None:
-            return None
-
-        def batched(count_matrix: np.ndarray) -> np.ndarray:
-            return np.fromiter(
-                (pred(row) for row in count_matrix),
-                dtype=bool,
-                count=len(count_matrix),
-            )
-
-        return batched
 
     def group_sizes(self, counts: Sequence[int] | np.ndarray) -> np.ndarray:
         """Per-group agent totals under the group map ``f``.

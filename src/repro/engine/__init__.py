@@ -1,10 +1,9 @@
 """Simulation engines: reference agent-based, batched uniform, the
-count-based jump-chain engine with null-interaction skipping (batch and
-count run their loops as compiled kernels whenever a native backend
-exists; ``batch-jit``/``count-jit`` are the same engines under their
-old names), the ensemble engine that vectorizes the jump chain across
-replicates, and the process-parallel sharded ensemble tier
-(``ensemble-parallel``).
+count-based jump-chain engine with null-interaction skipping, and the
+graph engine for restricted interaction graphs (batch, count and graph
+run their loops as compiled kernels whenever a native backend exists;
+``batch-jit``/``count-jit`` are the same engines under their old
+names).  Trial parallelism comes from ``run_trials(workers=N)``.
 
 Each engine is a stepper factory: ``Engine.start`` returns a resumable
 :class:`EngineSession` (advance/snapshot/restore/result) and
@@ -14,12 +13,9 @@ from .agent_based import AgentBasedEngine
 from .base import Engine, SimulationResult, StepCallback
 from .batch import BatchEngine
 from .count_based import CountBasedEngine
-from .ensemble import EnsembleEngine
 from .graph_batch import GraphBatchEngine, GraphBatchSession
-from .hybrid import HybridEngine
 from .jit import JitBatchEngine, JitCountEngine
 from .kernels import KernelBuildError, KernelSet, get_kernels, reset_kernels
-from .parallel import ParallelEnsembleEngine, ShardedEnsembleSession
 from .metrics import GroupSizeRecorder, TimeSeriesRecorder, aggregate_milestones
 from .registry import (
     available_engines,
@@ -49,14 +45,10 @@ __all__ = [
     "AgentBasedEngine",
     "BatchEngine",
     "CountBasedEngine",
-    "EnsembleEngine",
     "GraphBatchEngine",
     "GraphBatchSession",
-    "HybridEngine",
     "JitCountEngine",
     "JitBatchEngine",
-    "ParallelEnsembleEngine",
-    "ShardedEnsembleSession",
     "KernelSet",
     "KernelBuildError",
     "get_kernels",

@@ -35,16 +35,12 @@ makes the exponential-in-k sweep of Figure 6 feasible in pure Python.
 The resumable core is :class:`JumpChain`: one instance owns the class
 tables, Fenwick weights, pre-drawn uniform block, and generator of a
 single jump-chain execution, and advances an external counter context
-(an :class:`~repro.engine.session.EngineSession` or a per-replicate
-proxy).  Three steppers share it: :class:`CountBasedSession`, the
-hybrid engine's phase-2 tail, and the ensemble engine's scalar
-finisher — which is also what guarantees a run's telemetry is emitted
-once, by the owning engine, instead of the internal tail double
-counting as a ``count`` run.  :class:`KernelJumpChain` is the same
-core with :meth:`~JumpChain.advance` in the compiled ``jump_chain``
-kernel; :class:`CountBasedSession` uses it whenever
-:func:`~repro.engine.kernels.session_kernels` finds a native kernel the
-run can use, and the result is bit-identical either way.
+(the :class:`CountBasedSession` that owns it, its one stepper).
+:class:`KernelJumpChain` is the same core with :meth:`~JumpChain.advance`
+in the compiled ``jump_chain`` kernel; :class:`CountBasedSession` uses
+it whenever :func:`~repro.engine.kernels.session_kernels` finds a
+native kernel the run can use, and the result is bit-identical either
+way.
 
 Limitation: the derivation requires the uniform scheduler (the one the
 paper simulates); for other schedulers use the agent-based engine.

@@ -5,26 +5,23 @@ and the batch engine's pair-draw/apply loop
 (:class:`~repro.engine.batch.BatchSession`) spend their time in tight
 integer arithmetic that pure Python executes one bytecode at a time.
 This module provides the same two loops as *kernels* — allocation-free
-state machines over flat int64/float64 arrays — behind three
-interchangeable backends:
+state machines over flat int64/float64 arrays — written in C, compiled
+once per source hash with the system C compiler (``cc``/``gcc``) into
+a cached shared object and called through :mod:`ctypes`.
+
+Two backends exist:
 
 ``cc``
-    The state machines below transcribed to C, compiled once per
-    source hash with the system C compiler (``cc``/``gcc``) into a
-    cached shared object and called through :mod:`ctypes`.  Used when
-    a C compiler is available.
-``numba``
-    :func:`numba.njit`-compiled versions of the Python kernel bodies
-    below.  Never selected automatically; ``REPRO_KERNEL=numba`` builds
-    it when Numba is importable.
+    The compiled kernels.  Used when a C compiler is available.
 ``python``
-    The plain-Python kernel bodies themselves.  Always available, but
-    not *native*: sessions never run their loops on it and keep their
-    own Python loops instead (see :func:`session_kernels`).
+    No kernels at all: sessions keep their own Python loops (see
+    :func:`session_kernels`).  The fallback when no C compiler is
+    found, and the reference every bit-identity test compares against.
 
 Backend selection is automatic (``cc`` → ``python``) and can be forced
-with the ``REPRO_KERNEL`` environment variable; forcing an unavailable
-backend fails loudly instead of silently degrading.
+with the ``REPRO_KERNEL`` environment variable (``auto|cc|python``);
+forcing an unavailable backend fails loudly instead of silently
+degrading.
 
 The ``count`` and ``batch`` sessions (and their ``count-jit`` and
 ``batch-jit`` names) run on these kernels whenever
@@ -41,14 +38,14 @@ Kernels never draw randomness.  They consume the pre-drawn buffers the
 sessions already own (and already snapshot) and return
 :data:`KERNEL_REFILL` when a buffer runs dry; the Python wrapper — the
 sole owner of the ``numpy`` Generator — refills at exactly the stream
-positions the pure-Python tier would have and re-enters.  Combined with
+positions the Python loop would have and re-enters.  Combined with
 exact integer weight arithmetic (all prefix sums stay far below 2**53,
 so the ``double`` comparisons below are exact) and the shared libm
-``log``/``log1p``, a kernel-tier run is bit-identical to its Python
-loop: same counts, same interaction totals, same milestones, same
-consumed random stream.  The parity tests compare kernel runs with
-the pure-Python loops end to end, and ``conform diff`` drives the
-kernel sessions' data structures against the name-level oracle.
+``log``/``log1p``, a kernel run is bit-identical to its Python loop:
+same counts, same interaction totals, same milestones, same consumed
+random stream.  The parity tests compare kernel runs with the Python
+loops end to end, and ``conform diff`` drives the kernel sessions'
+data structures against the name-level oracle.
 
 The declarative stability test consumed here is
 :class:`~repro.core.protocol.StabilitySignature` in CSR form
@@ -70,7 +67,6 @@ import time
 import weakref
 from collections.abc import Callable
 from functools import cached_property
-from math import log, log1p
 from pathlib import Path
 
 import numpy as np
@@ -95,19 +91,15 @@ __all__ = [
     "KERNEL_EXHAUSTED",
 ]
 
-#: Environment variable forcing a backend: ``auto|numba|cc|python``.
+#: Environment variable forcing a backend: ``auto|cc|python``.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Status codes shared by every backend (values mirrored in the C source).
+#: Status codes the kernels return (values mirrored in the C source).
 KERNEL_REFILL = 0     #: random buffer exhausted — refill and re-enter
 KERNEL_PAUSE = 1      #: slice target reached
 KERNEL_CONVERGED = 2  #: stability signature satisfied
 KERNEL_SILENT = 3     #: total active weight hit zero (no signature match)
 KERNEL_EXHAUSTED = 4  #: interaction budget ran out mid-skip
-
-#: Above this, a geometric null-skip certainly exceeds any budget
-#: (budgets are at most 2**62); guards the float->int64 conversion.
-_HUGE_SKIP = 9.0e18
 
 #: Weights (at most ``T = n(n-1)``) must stay below this for the
 #: kernels' double comparisons to be exact.
@@ -119,228 +111,17 @@ class KernelBuildError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Python kernel bodies (also the Numba compilation sources)
+# C source (the ``cc`` backend)
 # ----------------------------------------------------------------------
-# Both bodies are written in the nopython subset: flat 1-D arrays, plain
-# loops, no closures or allocation.  The signature check is inlined at
-# each use site (njit cannot resolve a plain-Python helper global).
-
-
-def _jump_chain_py(
-    counts,      # int64[S]   in/out: live count vector
-    values,      # int64[R]   in/out: per-class active weights
-    in1, in2, out1, out2, same, mult,  # int64[R] class tables
-    aff_off, aff_idx,                  # CSR: classes affected per class
-    sig_off, sig_idx, sig_want,        # CSR stability signature (may be empty)
-    rand_buf,    # float64[block] pre-drawn uniforms (two per event)
-    ms_buf,      # int64[n+2] out: milestone interaction counts
-    reg,         # int64[6] in/out: pos, interactions, effective, W, high_water, ms_len
-    T, target, budget, track,          # int64 scalars (track < 0: untracked)
-):
-    pos = reg[0]
-    interactions = reg[1]
-    effective = reg[2]
-    W = reg[3]
-    high_water = reg[4]
-    ms_len = 0
-    n_sig = sig_want.shape[0]
-    nrand = rand_buf.shape[0]
-    R = values.shape[0]
-    status = KERNEL_PAUSE
-    while True:
-        if n_sig > 0:
-            stable = True
-            for g in range(n_sig):
-                total = 0
-                for i in range(sig_off[g], sig_off[g + 1]):
-                    total += counts[sig_idx[i]]
-                if total != sig_want[g]:
-                    stable = False
-                    break
-            if stable:
-                status = KERNEL_CONVERGED
-                break
-        if W == 0:
-            status = KERNEL_SILENT
-            break
-        if interactions >= target:
-            status = KERNEL_PAUSE
-            break
-        if pos >= nrand - 2:
-            status = KERNEL_REFILL
-            break
-
-        # --- geometric null skip (same draw order as JumpChain) -------
-        if W >= T:
-            nulls = 0
-        else:
-            u = 1.0 - rand_buf[pos]
-            pos += 1
-            dn = log(u) / log1p(-(W / T))
-            if dn >= _HUGE_SKIP:
-                interactions = budget
-                status = KERNEL_EXHAUSTED
-                break
-            nulls = int(dn)
-        if interactions + nulls + 1 > budget:
-            interactions = budget
-            status = KERNEL_EXHAUSTED
-            break
-        interactions += nulls + 1
-
-        # --- effective class: first prefix sum strictly exceeding x ---
-        x = rand_buf[pos] * W
-        pos += 1
-        r = R - 1
-        cum = 0
-        for j in range(R):
-            cum += values[j]
-            if x < cum:
-                r = j
-                break
-
-        counts[in1[r]] -= 1
-        counts[in2[r]] -= 1
-        counts[out1[r]] += 1
-        counts[out2[r]] += 1
-        effective += 1
-
-        for t in range(aff_off[r], aff_off[r + 1]):
-            j = aff_idx[t]
-            if same[j] != 0:
-                c = counts[in1[j]]
-                w = c * (c - 1)
-            else:
-                w = mult[j] * counts[in1[j]] * counts[in2[j]]
-            W += w - values[j]
-            values[j] = w
-
-        if track >= 0:
-            cur = counts[track]
-            while high_water < cur:
-                high_water += 1
-                ms_buf[ms_len] = interactions
-                ms_len += 1
-
-    reg[0] = pos
-    reg[1] = interactions
-    reg[2] = effective
-    reg[3] = W
-    reg[4] = high_water
-    reg[5] = ms_len
-    return status
-
-
-def _pair_block_py(
-    states,      # int64[n]   in/out: per-agent states
-    counts,      # int64[S]   in/out: live count vector
-    dflat,       # int64[S*S] flattened transition function
-    in1, in2, same, mult,   # int64[R] class tables (weight maintenance)
-    weights,     # int64[R]   in/out: per-class active weights
-    pq_off, pq_idx,         # CSR: classes dirtied per rule key pq
-    sig_off, sig_idx, sig_want,  # CSR stability signature (may be empty)
-    buf_a, buf_b,           # int64[take] pre-drawn ordered agent pairs
-    ms_buf,      # int64[n+2] out: milestone interaction counts
-    reg,         # int64[6] in/out: pos, interactions, effective, W, high_water, ms_len
-    S, target, track,       # int64 scalars (track < 0: untracked)
-):
-    pos = reg[0]
-    interactions = reg[1]
-    effective = reg[2]
-    W = reg[3]
-    high_water = reg[4]
-    ms_len = 0
-    n_sig = sig_want.shape[0]
-    n_buf = buf_a.shape[0]
-    status = KERNEL_PAUSE
-
-    # Entry stability check, exactly like BatchSession._advance_inner.
-    if n_sig > 0:
-        stable = True
-        for g in range(n_sig):
-            total = 0
-            for i in range(sig_off[g], sig_off[g + 1]):
-                total += counts[sig_idx[i]]
-            if total != sig_want[g]:
-                stable = False
-                break
-    else:
-        stable = W == 0
-    if stable:
-        status = KERNEL_CONVERGED
-    else:
-        while interactions < target:
-            if pos >= n_buf:
-                status = KERNEL_REFILL
-                break
-            a = buf_a[pos]
-            b = buf_b[pos]
-            pos += 1
-            interactions += 1
-            p = states[a]
-            q = states[b]
-            pq = p * S + q
-            out = dflat[pq]
-            if out == pq:
-                continue
-            p2 = out // S
-            q2 = out % S
-            states[a] = p2
-            states[b] = q2
-            counts[p] -= 1
-            counts[q] -= 1
-            counts[p2] += 1
-            counts[q2] += 1
-            effective += 1
-
-            for t in range(pq_off[pq], pq_off[pq + 1]):
-                j = pq_idx[t]
-                if same[j] != 0:
-                    c = counts[in1[j]]
-                    w = c * (c - 1)
-                else:
-                    w = mult[j] * counts[in1[j]] * counts[in2[j]]
-                W += w - weights[j]
-                weights[j] = w
-
-            if track >= 0:
-                cur = counts[track]
-                while high_water < cur:
-                    high_water += 1
-                    ms_buf[ms_len] = interactions
-                    ms_len += 1
-
-            if n_sig > 0:
-                stable = True
-                for g in range(n_sig):
-                    total = 0
-                    for i in range(sig_off[g], sig_off[g + 1]):
-                        total += counts[sig_idx[i]]
-                    if total != sig_want[g]:
-                        stable = False
-                        break
-            else:
-                stable = W == 0
-            if stable:
-                status = KERNEL_CONVERGED
-                break
-
-    reg[0] = pos
-    reg[1] = interactions
-    reg[2] = effective
-    reg[3] = W
-    reg[4] = high_water
-    reg[5] = ms_len
-    return status
-
-
-# ----------------------------------------------------------------------
-# C transcription (the ``cc`` backend)
-# ----------------------------------------------------------------------
-# A literal transcription of the two bodies above.  No -ffast-math:
-# log/log1p must be the same libm calls CPython's math module makes, and
-# the weight comparisons rely on exact double conversion of integers
-# below 2**53.
+# ``jump_chain`` is JumpChain.advance and ``pair_block`` is
+# BatchSession's pair loop, step for step and draw for draw.  Each
+# resumes from and saves to ``reg`` (pos, interactions, effective, W,
+# high_water, ms_len) and reports why it stopped; ``track < 0`` means
+# untracked.  A geometric null skip of 9e18 or more certainly exceeds
+# any budget (budgets are at most 2**62) and guards the double->int64
+# conversion.  No -ffast-math: log/log1p must be the same libm calls
+# CPython's math module makes, and the weight comparisons rely on exact
+# double conversion of integers below 2**53.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
@@ -542,10 +323,6 @@ int64_t pair_block(int64_t *states, int64_t *counts, const int64_t *dflat,
 # ----------------------------------------------------------------------
 # Backend construction
 # ----------------------------------------------------------------------
-def _as_is(array: np.ndarray) -> np.ndarray:
-    return array
-
-
 @dataclasses.dataclass(frozen=True)
 class KernelSet:
     """The active pair of kernels and the backend that produced them.
@@ -554,61 +331,19 @@ class KernelSet:
     must first go through :attr:`bind`, which checks it once and
     returns the form the backend's calls take.  A bound array stays
     valid for as long as the array itself; refill it in place, or bind
-    its replacement.
+    its replacement.  The ``python`` set has no kernels.
     """
 
-    backend: str  # "numba" | "cc" | "python"
-    jump_chain: Callable
-    pair_block: Callable
-    compile_seconds: float
-    bind: Callable[[np.ndarray], object] = _as_is
+    backend: str  # "cc" | "python"
+    jump_chain: Callable | None = None
+    pair_block: Callable | None = None
+    compile_seconds: float = 0.0
+    bind: Callable[[np.ndarray], object] | None = None
 
     @property
     def native(self) -> bool:
-        """Whether the kernels run as machine code."""
+        """Whether the set has kernels (which run as machine code)."""
         return self.backend != "python"
-
-
-def _warmup(kernels: KernelSet) -> None:
-    """Call both kernels on degenerate inputs (forces JIT compilation).
-
-    The dummy jump chain is silent (W=0) and the dummy pair block is
-    buffer-empty with target 0, so neither touches the random buffers.
-    """
-    def i64(*values: int) -> object:
-        return kernels.bind(np.asarray(values, dtype=np.int64))
-
-    z1, z2, e = i64(0), i64(0, 0), i64()
-    kernels.jump_chain(
-        i64(2), i64(0),
-        z1, z1, z1, z1, z1, z1,
-        z2, e, i64(0), e, e,
-        kernels.bind(np.zeros(8, dtype=np.float64)), i64(0, 0, 0, 0),
-        i64(0, 0, 0, 0, 0, 0),
-        2, 0, 0, -1,
-    )
-    kernels.pair_block(
-        i64(0, 0), i64(2), z1,
-        z1, z1, z1, z1, i64(0),
-        z2, e, i64(0), e, e,
-        e, e, i64(0, 0, 0, 0), i64(0, 0, 0, 0, 0, 0),
-        1, 0, -1,
-    )
-
-
-def _build_numba() -> KernelSet:
-    try:
-        import numba  # noqa: PLC0415 — optional dependency probe
-    except Exception as exc:  # noqa: BLE001 — any import failure disables it
-        raise KernelBuildError(f"numba backend unavailable: {exc}") from exc
-    t0 = time.perf_counter()
-    try:
-        jit = numba.njit(cache=True, fastmath=False)
-        kernels = KernelSet("numba", jit(_jump_chain_py), jit(_pair_block_py), 0.0)
-        _warmup(kernels)
-    except Exception as exc:  # noqa: BLE001 — compile failures disable it
-        raise KernelBuildError(f"numba kernel compilation failed: {exc}") from exc
-    return dataclasses.replace(kernels, compile_seconds=time.perf_counter() - t0)
 
 
 def _cc_cache_dir() -> Path:
@@ -693,9 +428,9 @@ def _build_cc() -> KernelSet:
             buf_a, buf_b, len(buf_a), ms_buf, reg, S, target, track,
         )
 
-    kernels = KernelSet("cc", jump_chain, pair_block, 0.0, _bind_cc)
-    _warmup(kernels)
-    return dataclasses.replace(kernels, compile_seconds=time.perf_counter() - t0)
+    return KernelSet(
+        "cc", jump_chain, pair_block, time.perf_counter() - t0, _bind_cc
+    )
 
 
 _CTYPES_ELEMENT = {
@@ -721,27 +456,20 @@ def _bind_cc(array: np.ndarray) -> ctypes.Array:
 
 
 def _build_python() -> KernelSet:
-    return KernelSet("python", _jump_chain_py, _pair_block_py, 0.0)
+    return KernelSet("python")
 
 
-_BUILDERS = {"numba": _build_numba, "cc": _build_cc, "python": _build_python}
-_AUTO_ORDER = ("cc", "python")
+_BUILDERS = {"cc": _build_cc, "python": _build_python}
 
 _ACTIVE: KernelSet | None = None
 
 
 def _build(mode: str) -> KernelSet:
     if mode == "auto":
-        last: KernelBuildError | None = None
-        for name in _AUTO_ORDER:
-            try:
-                built = _BUILDERS[name]()
-            except KernelBuildError as exc:
-                last = exc
-                continue
-            break
-        else:  # pragma: no cover — python builder never raises
-            raise last
+        try:
+            built = _build_cc()
+        except KernelBuildError:
+            built = _build_python()
     elif mode in _BUILDERS:
         built = _BUILDERS[mode]()
     else:
@@ -749,7 +477,7 @@ def _build(mode: str) -> KernelSet:
             f"{KERNEL_ENV}={mode!r} is not a kernel backend; "
             f"choose auto, {', '.join(_BUILDERS)}"
         )
-    if built.backend != "python":
+    if built.native:
         record_kernel_compile(built.backend, built.compile_seconds)
     return built
 
@@ -758,9 +486,9 @@ def get_kernels() -> KernelSet:
     """The process-wide :class:`KernelSet` (built on first use).
 
     Selection honours ``REPRO_KERNEL``: ``auto`` (default) tries
-    ``cc``, then falls back to ``python``; naming a backend (``numba``
-    included) demands exactly that one and raises
-    :class:`KernelBuildError` when it cannot be built.
+    ``cc``, then falls back to ``python``; naming a backend demands
+    exactly that one and raises :class:`KernelBuildError` when it
+    cannot be built.
     """
     global _ACTIVE
     if _ACTIVE is None:

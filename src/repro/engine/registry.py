@@ -3,7 +3,7 @@
 Experiments, the CLI, and :func:`~repro.engine.runner.run_trials`
 accept either an :class:`~repro.engine.base.Engine` instance or a
 string name; this module maps names to constructors so callers can say
-``engine="ensemble"`` without importing engine classes.  Third-party
+``engine="agent"`` without importing engine classes.  Third-party
 engines can join via :func:`register_engine`.
 """
 
@@ -18,11 +18,8 @@ from .agent_based import AgentBasedEngine
 from .base import Engine
 from .batch import BatchEngine
 from .count_based import CountBasedEngine
-from .ensemble import EnsembleEngine
 from .graph_batch import GraphBatchEngine
-from .hybrid import HybridEngine
 from .jit import JitBatchEngine, JitCountEngine
-from .parallel import ParallelEnsembleEngine
 
 __all__ = [
     "available_engines",
@@ -36,11 +33,8 @@ _REGISTRY: dict[str, Callable[[], Engine]] = {
     AgentBasedEngine.name: AgentBasedEngine,
     BatchEngine.name: BatchEngine,
     CountBasedEngine.name: CountBasedEngine,
-    HybridEngine.name: HybridEngine,
-    EnsembleEngine.name: EnsembleEngine,
     JitCountEngine.name: JitCountEngine,
     JitBatchEngine.name: JitBatchEngine,
-    ParallelEnsembleEngine.name: ParallelEnsembleEngine,
     GraphBatchEngine.name: GraphBatchEngine,
 }
 

@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 #: Called after every completed trial with ``(done, total)`` where
-#: ``done`` counts finished trials (1-based).  Engines that simulate a
-#: whole chunk in one vectorized call report the chunk at once.
+#: ``done`` counts finished trials (1-based).  Worker pools report
+#: whole chunks at once.
 ProgressCallback = Callable[[int, int], None]
 
 
@@ -291,10 +291,7 @@ def run_trials(
     engine:
         An :class:`Engine` instance, a registered engine name (see
         :func:`~repro.engine.registry.available_engines`), or None for
-        the default count-based engine.  Engines that expose a
-        ``run_batch`` method (the ensemble engine) simulate all trials
-        of a chunk in one call; the runner detects and uses it
-        automatically.
+        the default count-based engine.
     scheduler:
         Scheduler name or :class:`~repro.scheduling.spec.SchedulerSpec`
         (``None``/``"uniform"`` = the paper's uniform scheduler).
@@ -310,8 +307,8 @@ def run_trials(
         silently would bias the reproduction).
     progress:
         Optional callback ``(done, total)`` fired as trials complete
-        (``done`` is the 1-based count of finished trials).  Vectorized
-        engines and worker pools report whole chunks at once.
+        (``done`` is the 1-based count of finished trials).  Worker
+        pools report whole chunks at once.
     cache:
         Optional :class:`TrialCache`.  When the call's
         :func:`trial_fingerprint` is already present, the stored record
@@ -325,7 +322,7 @@ def run_trials(
         contiguous chunks of ``ceil(trials / workers)`` and fans the
         chunks out over a process pool (one submission per worker, not
         per trial, so pickling overhead is paid per chunk).  Because
-        per-trial seeds are spawned up front, scalar-engine results are
+        per-trial seeds are spawned up front, results are
         bit-identical to the serial run regardless of worker count or
         completion order.  Requires the engine and protocol to be
         picklable (all engines and shipped protocols are; agent-based
@@ -504,27 +501,12 @@ def _run_chunk(
 ) -> list[SimulationResult]:
     """A contiguous run of trials — module-level so pools can pickle it.
 
-    Engines with a ``run_batch`` method simulate the whole chunk in one
-    vectorized call; scalar engines loop, one independent run per seed.
-    ``progress`` is only wired on the in-process path (callbacks do not
-    cross the pickle boundary); pooled runs report per chunk instead.
+    One independent run per seed.  ``progress`` is only wired on the
+    in-process path (callbacks do not cross the pickle boundary);
+    pooled runs report per chunk instead.
     """
     total = total if total is not None else len(seeds)
     t0 = time.perf_counter()
-    run_batch = getattr(engine, "run_batch", None)
-    if run_batch is not None:
-        results = run_batch(
-            protocol,
-            n,
-            seeds=list(seeds),
-            initial_counts=initial_counts,
-            max_interactions=max_interactions,
-            track_state=track_state,
-        )
-        record_chunk_seconds(time.perf_counter() - t0)
-        if progress is not None:
-            progress(len(results), total)
-        return results
     results = []
     for s in seeds:
         results.append(

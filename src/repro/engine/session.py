@@ -194,7 +194,11 @@ class EngineSession:
         self._budget = max_interactions if max_interactions is not None else _UNBOUNDED
         self._on_effective = on_effective
         self._rng = ensure_generator(seed)
-        self._init_counters(counts0)
+        self.counts: list[int] = counts0.tolist()
+        self.interactions = 0
+        self.effective = 0
+        self.milestones: list[int] = []
+        self._high_water = self.counts[self._track] if self._track is not None else 0
         self._status = SessionStatus.RUNNING
         self._converged = False
         self._halted = False
@@ -206,15 +210,6 @@ class EngineSession:
     # ------------------------------------------------------------------
     # Shared scaffolding
     # ------------------------------------------------------------------
-    def _init_counters(self, counts0: np.ndarray) -> None:
-        """Install the shared counter attributes (overridable for
-        engines whose per-replicate counters live elsewhere)."""
-        self.counts: list[int] = counts0.tolist()
-        self.interactions = 0
-        self.effective = 0
-        self.milestones: list[int] = []
-        self._high_water = self.counts[self._track] if self._track is not None else 0
-
     @property
     def status(self) -> SessionStatus:
         return self._status
@@ -226,10 +221,6 @@ class EngineSession:
     @property
     def engine_name(self) -> str:
         return self._engine_name
-
-    def _advance_anchor(self) -> int:
-        """Interaction count relative budgets are measured from."""
-        return self.interactions
 
     def advance(self, budget: int | None = None) -> SessionStatus:
         """Run up to ``budget`` further interactions (None = to the end).
@@ -249,14 +240,15 @@ class EngineSession:
         target = (
             self._budget
             if budget is None
-            else min(self._budget, self._advance_anchor() + budget)
+            else min(self._budget, self.interactions + budget)
         )
         t0 = time.perf_counter()
         self._advance_inner(target)
         self._elapsed += time.perf_counter() - t0
         status = self._status_after_advance()
         if status.terminal:
-            self._finish(status)
+            self._status = status
+            self._dispatch_finalize()
         return self._status
 
     def _status_after_advance(self) -> SessionStatus:
@@ -267,10 +259,6 @@ class EngineSession:
         if self.interactions >= self._budget:
             return SessionStatus.EXHAUSTED
         return SessionStatus.RUNNING
-
-    def _finish(self, status: SessionStatus) -> None:
-        self._status = status
-        self._dispatch_finalize()
 
     def _dispatch_prime(self) -> None:
         Engine._callback_prime(self._on_effective, self.counts)

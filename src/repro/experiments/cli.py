@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "simulation engine for sweep experiments (e.g. 'count', "
-            "'ensemble'); defaults to each experiment's own choice"
+            "'batch'); defaults to each experiment's own choice"
         ),
     )
     parser.add_argument(

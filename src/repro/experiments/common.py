@@ -74,8 +74,8 @@ class ProgressPrinter:
         so the runner skips callback dispatch entirely.
 
         Marks fire on *threshold crossings*, not exact multiples:
-        chunk-reporting callers (the ensemble engine's ``run_batch``,
-        ``workers > 1`` spans) jump ``done`` by whole chunks, so a mark
+        chunk-reporting callers (``workers > 1`` spans) jump ``done``
+        by whole chunks, so a mark
         is printed whenever the highest quarter boundary at or below
         ``done`` advances past the last one reported.
         """

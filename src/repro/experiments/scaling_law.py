@@ -14,9 +14,10 @@ Scale notes:
 * The default grid is CI-sized.  The full-scale study is meant to run
   through the campaign layer — ``repro-campaign submit --grid scaling
   --n-max 1000000`` streams per-trial rows into a columnar sink and
-  this experiment's fits can then be computed from the shard store —
-  or directly with ``--engine count-jit`` / ``ensemble-parallel``,
-  whose compiled jump-chain kernels make 10^6-agent trials tractable.
+  this experiment's fits can then be computed from the shard store.
+  The default ``count`` engine runs its jump chain as a compiled kernel,
+  which makes 10^6-agent trials tractable; ``repro-campaign run
+  --workers N`` spreads the jobs over N processes.
 * Rows are per trial, so tables get big: ``write_outputs`` also emits
   a ``.columnar`` shard directory and ``results query`` aggregates it
   out of core.

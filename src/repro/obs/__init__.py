@@ -19,7 +19,6 @@ heavyweight dependencies.  See ``docs/observability.md``.
 from .instruments import (
     record_cache_lookup,
     record_chunk_seconds,
-    record_ensemble_batch,
     record_simulation,
     record_trialset,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "use_telemetry",
     # metric catalogue
     "record_simulation",
-    "record_ensemble_batch",
     "record_trialset",
     "record_cache_lookup",
     "record_chunk_seconds",

@@ -15,19 +15,8 @@ Naming scheme::
     engine.<name>.converged             counter
     engine.<name>.interactions_hist     histogram, per-run totals
     engine.<name>.elapsed_seconds       histogram, per-run wall time
-    engine.ensemble.batches             counter, run_batch calls
-    engine.ensemble.replicates          counter, replicates simulated
-    engine.ensemble.retired_vectorized  counter, finished in the
-                                        vectorized phase
-    engine.ensemble.finisher_replicates counter, handed to the scalar
-                                        finisher
-    engine.ensemble.vector_steps        counter, vectorized loop steps
     engine.kernel.compiles              counter, compiled-kernel builds
     engine.kernel.compile_seconds       histogram, per-build wall time
-    engine.parallel.shards              counter, replicate shards
-                                        dispatched by parallel batches
-    engine.parallel.last_workers        gauge, worker processes used by
-                                        the latest parallel batch
     runner.calls / runner.trials        counters
     runner.interactions / runner.effective_interactions  counters
     runner.cache.hits / runner.cache.misses              counters
@@ -54,9 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard (engine imports us)
 
 __all__ = [
     "record_simulation",
-    "record_ensemble_batch",
     "record_kernel_compile",
-    "record_parallel_shards",
     "record_trialset",
     "record_cache_lookup",
     "record_chunk_seconds",
@@ -82,34 +69,12 @@ def record_simulation(result: "SimulationResult") -> None:
     telemetry.histogram(f"{prefix}.elapsed_seconds").record(result.elapsed)
 
 
-def record_ensemble_batch(
-    *,
-    replicates: int,
-    finisher_replicates: int,
-    vector_steps: int,
-) -> None:
-    """Emit the ensemble engine's vectorized/finisher hand-off stats."""
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return
-    telemetry.counter("engine.ensemble.batches").inc()
-    telemetry.counter("engine.ensemble.replicates").inc(replicates)
-    telemetry.counter("engine.ensemble.retired_vectorized").inc(
-        replicates - finisher_replicates
-    )
-    telemetry.counter("engine.ensemble.finisher_replicates").inc(finisher_replicates)
-    telemetry.counter("engine.ensemble.vector_steps").inc(vector_steps)
-    telemetry.gauge("engine.ensemble.last_finisher_fraction").set(
-        finisher_replicates / replicates if replicates else 0.0
-    )
-
-
 def record_kernel_compile(backend: str, seconds: float) -> None:
-    """Record one compiled-kernel build (Numba JIT or C toolchain).
+    """Record one compiled-kernel build (C toolchain).
 
-    The pure-Python fallback backend never compiles anything and emits
-    nothing; the counter/histogram pair therefore measures exactly the
-    one-time native-tier warm-up cost a process pays.
+    The ``python`` backend has no kernels and emits nothing; the
+    counter/histogram pair therefore measures exactly the one-time
+    native-tier warm-up cost a process pays.
     """
     telemetry = get_telemetry()
     if not telemetry.enabled:
@@ -119,16 +84,6 @@ def record_kernel_compile(backend: str, seconds: float) -> None:
         0.0 if backend == "python" else 1.0
     )
     telemetry.histogram("engine.kernel.compile_seconds").record(seconds)
-
-
-def record_parallel_shards(*, shards: int, workers: int) -> None:
-    """Record one parallel-ensemble batch's shard fan-out."""
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return
-    telemetry.counter("engine.parallel.shards").inc(shards)
-    telemetry.counter("engine.parallel.batches").inc()
-    telemetry.gauge("engine.parallel.last_workers").set(float(workers))
 
 
 def record_trialset(ts: "TrialSet", *, cached: bool, elapsed: float) -> None:

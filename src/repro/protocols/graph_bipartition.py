@@ -103,7 +103,6 @@ class GraphBipartitionProtocol(Protocol):
             transitions=table,
             initial_state=INITIAL,
             stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": 2,
@@ -132,15 +131,6 @@ class GraphBipartitionProtocol(Protocol):
                 and counts[g2] == half
                 and counts[i0] + counts[i1] == r
             )
-
-        return stable
-
-    def _make_batch_predicate(self, n: int):
-        half, _ = divmod(n, 2)
-        g1, g2 = self._g_idx
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            return (count_matrix[:, g1] == half) & (count_matrix[:, g2] == half)
 
         return stable
 

@@ -168,7 +168,6 @@ class UniformKPartitionProtocol(Protocol):
             transitions=table,
             initial_state=INITIAL,
             stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_stability_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": k,
@@ -296,44 +295,6 @@ class UniformKPartitionProtocol(Protocol):
                 if counts[idx] != 0:
                     return False
             return True
-
-        return stable
-
-    def _make_batch_stability_predicate(self, n: int):
-        """Vectorized form of :meth:`_make_stability_predicate`.
-
-        Stability is a pure count-signature test, so the batched version
-        compares all rows of a ``(B, S)`` matrix against the expected
-        signature in three fused comparisons (the two free states are
-        interchangeable and checked as a sum).
-        """
-        k = self._k
-        q, r = divmod(n, k)
-        gk = self._g_idx[-1]
-        i0, i1 = self._i_idx
-        exp_ini = 1 if r == 1 else 0
-        exact_idx = np.fromiter(
-            self._g_idx + self._m_idx + self._d_idx, dtype=np.intp
-        )
-        want = np.zeros(len(exact_idx), dtype=np.int64)
-        want[:k] = [q + 1 if x <= r - 1 else q for x in range(1, k + 1)]
-        if r >= 2:
-            want[k + r - 2] = 1  # m_r, at offset r-2 within the m block
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            count_matrix = np.asarray(count_matrix)
-            # gk first, as in the scalar predicate: it is the last count
-            # to reach its target, so most steps return all-False after
-            # one cheap column comparison.
-            ok = count_matrix[:, gk] == q
-            if not ok.any():
-                return ok
-            cand = np.flatnonzero(ok)
-            sub = count_matrix[cand]
-            good = sub[:, i0] + sub[:, i1] == exp_ini
-            good &= (sub[:, exact_idx] == want).all(axis=1)
-            ok[cand] = good
-            return ok
 
         return stable
 

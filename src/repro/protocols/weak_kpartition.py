@@ -92,7 +92,6 @@ class WeakKPartitionProtocol(Protocol):
             initial_state=FREE,
             initial_counts_factory=self._make_initial_counts,
             stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": k,
@@ -148,14 +147,6 @@ class WeakKPartitionProtocol(Protocol):
 
         def stable(counts: Sequence[int]) -> bool:
             return counts[free] == 0
-
-        return stable
-
-    def _make_batch_predicate(self, n: int):
-        free = self._free_idx
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            return count_matrix[:, free] == 0
 
         return stable
 

@@ -48,7 +48,6 @@ from ..conform.schedule import InteractionSchedule
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..engine.base import Engine, SimulationResult
-from ..engine.ensemble import EnsembleEngine
 from ..engine.registry import available_engines, build_engine
 from ..engine.session import EngineSession, SessionStatus, protocol_fingerprint
 from ..obs.telemetry import get_telemetry
@@ -64,16 +63,7 @@ __all__ = [
 
 #: Engine paths driven execution supports — must stay in lockstep with
 #: :data:`repro.conform.differ.ENGINE_PATHS` (pinned by test).
-DRIVEN_ENGINES = (
-    "agent",
-    "batch",
-    "count",
-    "hybrid",
-    "ensemble",
-    "count-jit",
-    "batch-jit",
-    "graph",
-)
+DRIVEN_ENGINES = ("agent", "batch", "count", "graph")
 
 #: Default automatic-checkpoint cadence (interactions).
 DEFAULT_CHECKPOINT_INTERVAL = 4096
@@ -100,19 +90,12 @@ def _build_session_protocol(config: dict) -> Protocol:
 
 
 def _drivable_engine(name: str) -> Engine:
-    """An engine whose session supports driven execution.
-
-    The ensemble engine is pinned to its pure vectorized path
-    (``finish_threshold=0``), same as the conformance differ — the
-    scalar-finisher hand-off does not accept external schedules.
-    """
+    """An engine whose session supports driven execution."""
     if name not in DRIVEN_ENGINES:
         raise SimulationError(
             f"engine {name!r} does not support driven execution; "
             f"choose from {list(DRIVEN_ENGINES)}"
         )
-    if name == "ensemble":
-        return EnsembleEngine(finish_threshold=0)
     return build_engine(name)
 
 

@@ -107,6 +107,48 @@ class TestFailure:
         assert report.failed == 1
 
 
+class TestRemovedTierRecords:
+    """Rows that name a deleted engine tier (``ensemble``) stay
+    readable; a queued job naming one fails alone, without blocking
+    the rest of the queue."""
+
+    def test_done_row_loads_and_round_trips(self, store):
+        from repro.engine import TrialSet, run_trials
+        from repro.protocols import uniform_k_partition
+
+        spec = make_spec(engine="ensemble")
+        digest, _ = store.submit(spec)
+        record = run_trials(uniform_k_partition(3), 9, trials=2, seed=0).to_record()
+        record["engine"] = "ensemble"
+        for result in record["results"]:
+            result["engine"] = "ensemble"
+        assert store.claim_next().digest == digest
+        store.mark_done(
+            digest,
+            summary=TrialSet.from_record(record).stats(),
+            record=record,
+            wall_time=0.1,
+        )
+
+        loaded = executor_module.fetch_trial_set(store, spec)
+        assert loaded.engine == "ensemble"
+        assert loaded.to_record() == record
+        assert TrialSet.from_record(loaded.to_record()).to_record() == record
+
+    def test_pending_job_fails_while_others_finish(self, store):
+        removed = make_spec(engine="ensemble")
+        kept = [make_spec(seed=s) for s in range(1, 3)]
+        store.submit_many([removed, *kept])
+        report = run_campaign(store)
+        assert report.executed == 2
+        assert report.failed == 1
+        assert store.counts()["done"] == 2
+        job = store.get(removed.digest)
+        assert job.status == "failed"
+        assert "UnknownEngineError" in job.error
+        assert "'ensemble'" in job.error and "count" in job.error
+
+
 class TestInterruption:
     def test_ctrl_c_checkpoints_in_flight_job(self, store, monkeypatch):
         store.submit_many([make_spec(seed=s) for s in range(3)])
@@ -154,7 +196,7 @@ class TestMidTrialResume:
     """Killing a job between slices and re-running must reproduce the
     uninterrupted trial records bit-for-bit (minus wall-clock)."""
 
-    @pytest.mark.parametrize("engine", ["count", "ensemble"])
+    @pytest.mark.parametrize("engine", ["count", "batch"])
     def test_kill_resume_matches_uninterrupted(self, store, engine):
         spec = make_spec(n=40, trials=3, seed=7, engine=engine)
         digest, _ = store.submit(spec)

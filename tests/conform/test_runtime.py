@@ -101,7 +101,7 @@ class TestRunTrialsIntegration:
         assert rt.results_checked == 6
         assert rt.violations == []
 
-    @pytest.mark.parametrize("engine", ["agent", "batch", "ensemble"])
+    @pytest.mark.parametrize("engine", ["agent", "batch"])
     def test_other_engines_checked(self, proto, engine):
         with use_conformance() as rt:
             run_trials(proto, 12, trials=3, engine=engine, seed=1)

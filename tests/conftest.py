@@ -8,11 +8,8 @@ from repro.engine import (
     AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
-    EnsembleEngine,
-    HybridEngine,
     JitBatchEngine,
     JitCountEngine,
-    ParallelEnsembleEngine,
 )
 from repro.protocols import (
     approximate_k_partition,
@@ -65,11 +62,8 @@ def majority():
         "agent",
         "batch",
         "count",
-        "hybrid",
-        "ensemble",
         "count-jit",
         "batch-jit",
-        "ensemble-parallel",
     ]
 )
 def any_engine(request):
@@ -78,9 +72,6 @@ def any_engine(request):
         "agent": AgentBasedEngine(),
         "batch": BatchEngine(),
         "count": CountBasedEngine(),
-        "hybrid": HybridEngine(),
-        "ensemble": EnsembleEngine(),
         "count-jit": JitCountEngine(),
         "batch-jit": JitBatchEngine(),
-        "ensemble-parallel": ParallelEnsembleEngine(),
     }[request.param]

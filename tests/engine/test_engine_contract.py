@@ -1,7 +1,7 @@
 """Engine contract tests, parametrized over every engine.
 
 Uses the shared ``any_engine`` fixture so each guarantee is asserted
-for agent, batch, count, and hybrid engines alike.
+for every registered engine alike.
 """
 
 from __future__ import annotations

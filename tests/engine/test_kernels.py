@@ -15,7 +15,6 @@ toolchain at all.
 from __future__ import annotations
 
 import gc
-import importlib.util
 import os
 import sys
 import weakref
@@ -36,25 +35,12 @@ from repro.engine import (
     reset_kernels,
 )
 from repro.engine.count_based import JumpChain, KernelJumpChain
-from repro.engine.kernels import (
-    _AUTO_ORDER,
-    KERNEL_ENV,
-    KernelPlan,
-    KernelTables,
-    _build_cc,
-    _build_python,
-    _find_cc,
-    session_kernels,
-    stability_csr,
-)
+from repro.engine.kernels import KERNEL_ENV, _build_cc, _find_cc, session_kernels
 from repro.protocols import (
     leader_election,
     uniform_bipartition,
     uniform_k_partition,
 )
-
-_HAS_NUMBA = importlib.util.find_spec("numba") is not None
-
 
 def _science(result) -> tuple:
     """Everything except engine name and wall time."""
@@ -128,12 +114,9 @@ class TestBackendSelection:
             get_kernels()
         reset_kernels()
 
-    def test_auto_never_selects_numba(self):
-        assert "numba" not in _AUTO_ORDER
-        assert _AUTO_ORDER[-1] == "python"
-
-    @pytest.mark.skipif(_HAS_NUMBA, reason="numba is installed")
     def test_forced_numba_raises_without_numba(self, monkeypatch):
+        # numba was a backend once; naming it now fails like any typo,
+        # whether or not numba is installed.
         monkeypatch.setenv(KERNEL_ENV, "numba")
         reset_kernels()
         with pytest.raises(KernelBuildError, match="numba"):
@@ -210,27 +193,6 @@ class TestCountTierIdentity:
                 assert type(session._chain) is JumpChain
                 session.advance()
             assert _science(session.result()) == _science(auto)
-
-    def test_python_kernel_body_matches_loop(self):
-        """The pure-Python kernel body (also the numba source) replays
-        the Python loop exactly when a chain is driven through it."""
-        proto, n, track = PROTOCOLS["k3"]
-        reference = python_run(
-            CountBasedEngine(), proto, n, seed=4, track_state=track
-        )
-        session = CountBasedEngine().start(proto, n, seed=4, track_state=track)
-        chain = KernelJumpChain(
-            proto, session.counts, session._rng, n,
-            plan=KernelPlan(
-                KernelTables(_build_python(), proto.compiled),
-                stability_csr(proto, n),
-            ),
-            draw=False,
-        )
-        chain.rand = session._chain.rand  # the block the session drew
-        session._chain = chain
-        session.advance()
-        assert _science(session.result()) == _science(reference)
 
     @pytest.mark.parametrize("cut", [7, 97])
     def test_sliced_with_snapshots_equals_straight_python_tier(self, cut):
@@ -335,22 +297,6 @@ class TestBatchTierIdentity:
                 assert session._kernel_plan is None
                 session.advance()
             assert _science(session.result()) == _science(auto)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_python_kernel_body_matches_loop(self, seed):
-        """The pure-Python pair-block body (also the numba source)
-        replays the Python batch loop exactly when a session runs it."""
-        proto, _, track = PROTOCOLS["k3"]
-        kwargs = dict(seed=seed, track_state=track, **self.BUDGET)
-        reference = python_run(BatchEngine(), proto, 72, **kwargs)
-        session = BatchEngine().start(proto, 72, **kwargs)
-        session._kernel_plan = KernelPlan(
-            KernelTables(_build_python(), proto.compiled),
-            stability_csr(proto, 72),
-        )
-        session.advance()
-        assert _science(session.result()) == _science(reference)
-        assert reference.converged
 
     @pytest.mark.parametrize("cut", [13, 512])
     def test_sliced_with_snapshots_equals_straight_python_tier(self, cut):

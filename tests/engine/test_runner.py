@@ -72,16 +72,6 @@ class TestRunTrials:
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
-    def test_progress_callback_batch_engine(self, proto):
-        # Vectorized engines simulate the whole chunk at once and
-        # report it as one jump to completion.
-        seen = []
-        run_trials(
-            proto, 9, trials=4, seed=9, engine="ensemble",
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(4, 4)]
-
     def test_progress_callback_workers(self, proto):
         seen = []
         run_trials(
@@ -157,13 +147,6 @@ class TestParallelWorkers:
     def test_workers_exceeding_trials(self, proto):
         ts = run_trials(proto, 12, trials=2, seed=24, workers=5)
         assert ts.trials == 2
-
-    def test_parallel_ensemble_engine_deterministic(self, proto):
-        a = run_trials(proto, 12, trials=8, seed=25, engine="ensemble", workers=2)
-        b = run_trials(proto, 12, trials=8, seed=25, engine="ensemble", workers=2)
-        assert np.array_equal(a.interactions, b.interactions)
-        assert a.engine == "ensemble"
-
 
 class TestTrialCache:
     def test_cache_hit_is_bit_identical(self, proto):
@@ -295,7 +278,6 @@ class TestEngineResolution:
         [
             ("count-jitt", "count-jit"),
             ("batch-jti", "batch-jit"),
-            ("ensemble-paralel", "ensemble-parallel"),
         ],
     )
     def test_unknown_engine_suggests_new_tier_names(self, typo, expected):
@@ -304,6 +286,19 @@ class TestEngineResolution:
         with pytest.raises(SimulationError) as excinfo:
             build_engine(typo)
         assert f"did you mean {expected!r}?" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["ensemble", "ensemble-parallel", "hybrid"])
+    def test_removed_tiers_are_unknown(self, proto, name):
+        """The deleted tiers are not aliased (their RNG streams differed
+        from count's); both entry points refuse them and list 'count'."""
+        from repro.core.errors import UnknownEngineError
+        from repro.engine import build_engine
+
+        listed = r"known engines: .*\bcount\b"
+        with pytest.raises(UnknownEngineError, match=listed):
+            build_engine(name)
+        with pytest.raises(UnknownEngineError, match=listed):
+            run_trials(proto, 9, trials=2, seed=1, engine=name)
 
     def test_registry_round_trip(self):
         from repro.engine import available_engines, build_engine
@@ -315,10 +310,7 @@ class TestEngineResolution:
             "batch-jit",
             "count",
             "count-jit",
-            "ensemble",
-            "ensemble-parallel",
             "graph",
-            "hybrid",
         )
         for name in names:
             assert build_engine(name).name == name

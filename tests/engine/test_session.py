@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import SimulationError
 from repro.engine import (
-    HybridEngine,
     SessionState,
     SessionStatus,
     SimulationResult,
@@ -58,7 +57,7 @@ class CountingRecorder:
 
 
 class TestBudgetExhaustion:
-    """Satellite: all five engines agree on what running out means."""
+    """Satellite: every engine agrees on what running out means."""
 
     def test_exhaustion_parity(self, any_engine):
         telemetry = Telemetry()
@@ -71,9 +70,7 @@ class TestBudgetExhaustion:
         counters = telemetry.snapshot()["counters"]
         run_keys = sorted(k for k in counters if k.endswith(".runs"))
         # record_simulation fired exactly once, under this engine's own
-        # name — no spurious tail-engine records (historically hybrid
-        # and ensemble leaked an ``engine.count.runs`` from delegating
-        # their endgame to an internal count-engine run).
+        # name — no spurious records from an internal delegate run.
         assert run_keys == [f"engine.{any_engine.name}.runs"]
         assert counters[f"engine.{any_engine.name}.runs"] == 1
         assert counters[f"engine.{any_engine.name}.interactions"] == 50
@@ -94,22 +91,6 @@ class TestHookDispatch:
         assert rec.primes == 1
         assert rec.finalizes == 1
         assert rec.final_at == r.interactions
-        assert len(rec.steps) == r.effective_interactions
-
-    def test_hybrid_hooks_span_the_switch(self):
-        # Large enough that the null-dominated tail triggers the
-        # batch -> jump-chain handoff; hooks must still fire once each,
-        # and the effective-step stream must stay in whole-run
-        # coordinates (strictly increasing across the switch).
-        rec = CountingRecorder()
-        session = HybridEngine().start(PROTO, 120, seed=0, on_effective=rec)
-        assert session.advance().terminal
-        assert session._phase == 2  # the switch actually happened
-        r = session.result()
-        assert rec.primes == 1
-        assert rec.finalizes == 1
-        assert rec.final_at == r.interactions
-        assert rec.steps == sorted(set(rec.steps))
         assert len(rec.steps) == r.effective_interactions
 
     def test_sliced_run_fires_hooks_once(self, any_engine):

@@ -63,7 +63,7 @@ class TestTrialsCallback:
     def test_chunked_reporting_crosses_marks(self, capsys):
         """Regression: ``done % step == 0`` skipped every mark when the
         engine jumps ``done`` by whole chunks that straddle quarter
-        boundaries (ensemble batches, multi-worker spans)."""
+        boundaries (multi-worker spans)."""
         cb = ProgressPrinter(enabled=True).trials("pt")
         for done in (33, 66, 99):  # never lands exactly on 25/50/75
             cb(done, 100)

@@ -86,7 +86,7 @@ class TestEngineAblation:
 
     def test_engine_coverage(self, table):
         engines = {row["engine"] for row in table.rows}
-        assert engines == {"agent", "batch", "count", "hybrid", "ensemble"}
+        assert engines == {"agent", "batch", "count"}
 
     def test_agent_batch_exact_agreement(self, table):
         # Same seeds: the agent and batch rows must report identical

@@ -9,11 +9,8 @@ from repro.engine import (
     AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
-    EnsembleEngine,
-    HybridEngine,
     JitBatchEngine,
     JitCountEngine,
-    ParallelEnsembleEngine,
     get_kernels,
     reset_kernels,
 )
@@ -29,11 +26,8 @@ ENGINES = {
     "agent": AgentBasedEngine,
     "batch": BatchEngine,
     "count": CountBasedEngine,
-    "ensemble": EnsembleEngine,
-    "hybrid": HybridEngine,
     "count-jit": JitCountEngine,
     "batch-jit": JitBatchEngine,
-    "ensemble-parallel": ParallelEnsembleEngine,
 }
 
 
@@ -57,21 +51,6 @@ class TestEngineEmission:
         assert hists[f"{prefix}.interactions_hist"]["count"] == 1
         assert hists[f"{prefix}.elapsed_seconds"]["count"] == 1
 
-    def test_ensemble_batch_stats(self, proto):
-        t = Telemetry()
-        with use_telemetry(t):
-            run_trials(proto, 12, trials=6, seed=51, engine="ensemble")
-        snap = t.snapshot()
-        counters = snap["counters"]
-        assert counters["engine.ensemble.batches"] == 1
-        assert counters["engine.ensemble.replicates"] == 6
-        assert counters["engine.ensemble.vector_steps"] >= 1
-        # Retired + finisher hand-off partition the replicate pool.
-        retired = counters.get("engine.ensemble.retired_vectorized", 0)
-        finishers = counters.get("engine.ensemble.finisher_replicates", 0)
-        assert retired + finishers == 6
-        assert 0.0 <= snap["gauges"]["engine.ensemble.last_finisher_fraction"] <= 1.0
-
     def test_nothing_emitted_when_disabled(self, proto):
         t = Telemetry()
         CountBasedEngine().run(proto, 12, seed=52)  # default null registry
@@ -92,19 +71,6 @@ class TestEngineEmission:
             assert snap["gauges"]["engine.kernel.last_backend_is_native"] == 1.0
         else:
             assert "engine.kernel.compiles" not in snap["counters"]
-
-    def test_parallel_shard_emission(self, proto):
-        t = Telemetry()
-        with use_telemetry(t):
-            engine = ParallelEnsembleEngine(shard_size=4, workers=1)
-            import numpy as np
-
-            engine.run_batch(proto, 12, seeds=list(np.random.SeedSequence(7).spawn(10)))
-        snap = t.snapshot()
-        assert snap["counters"]["engine.parallel.shards"] == 3
-        assert snap["counters"]["engine.parallel.batches"] == 1
-        assert snap["gauges"]["engine.parallel.last_workers"] == 1.0
-
 
 class TestRunnerEmission:
     def test_runner_counters_and_ratio(self, proto):
@@ -161,13 +127,13 @@ class TestZeroCostWhenDisabled:
                 raise AssertionError(f"histogram({name!r}) on disabled path")
 
         with use(BoobyTrapped()):
-            ts = run_trials(proto, 12, trials=4, seed=55, engine="ensemble")
+            ts = run_trials(proto, 12, trials=4, seed=55)
         assert ts.all_converged
 
     def test_disabled_path_covers_kernel_and_parallel_tiers(self, proto):
-        """The kernel build path (record_kernel_compile) and the shard
-        fan-out path (record_parallel_shards) must also be free on the
-        disabled path — including a fresh kernel-backend build."""
+        """The kernel build path (record_kernel_compile) and the pooled
+        trial path (``workers > 1``) must also be free on the disabled
+        path — including a fresh kernel-backend build."""
         from repro.obs.telemetry import NullTelemetry, use_telemetry as use
 
         class BoobyTrapped(NullTelemetry):
@@ -182,9 +148,11 @@ class TestZeroCostWhenDisabled:
 
         reset_kernels()  # force a kernel build inside the trap
         with use(BoobyTrapped()):
-            for engine in ("count-jit", "batch-jit", "ensemble-parallel"):
+            for engine in ("count-jit", "batch-jit"):
                 ts = run_trials(proto, 12, trials=4, seed=55, engine=engine)
                 assert ts.all_converged
+            ts = run_trials(proto, 12, trials=4, seed=55, workers=2)
+            assert ts.all_converged
 
     def test_disabled_callbacks_unaffected(self, proto):
         # on_effective still fires per effective interaction regardless

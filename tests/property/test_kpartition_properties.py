@@ -104,13 +104,11 @@ def test_milestone_count_is_floor_n_over_k(k, n, seed):
 @given(k=ks, n=ns, seed=seeds)
 def test_engines_agree_on_final_partition(k, n, seed):
     """All engines reach the same final group sizes."""
-    from repro.engine import AgentBasedEngine, HybridEngine
+    from repro.engine import AgentBasedEngine
 
     p = proto(k)
     sizes = [
         engine.run(p, n, seed=seed).group_sizes.tolist()
-        for engine in (
-            AgentBasedEngine(), BatchEngine(), CountBasedEngine(), HybridEngine()
-        )
+        for engine in (AgentBasedEngine(), BatchEngine(), CountBasedEngine())
     ]
-    assert sizes[0] == sizes[1] == sizes[2] == sizes[3]
+    assert sizes[0] == sizes[1] == sizes[2]

@@ -52,7 +52,7 @@ class TestLifecycle:
 
     def test_driven_rejects_free_only_engine(self, manager, driven_config):
         with pytest.raises(SimulationError, match="driven execution"):
-            manager.create(dict(driven_config, engine="ensemble-parallel"))
+            manager.create(dict(driven_config, engine="count-jit"))
 
     def test_delete_tombstones_and_drops_checkpoints(self, manager, free_config):
         manager.create(free_config, session_id="a")

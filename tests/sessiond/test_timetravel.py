@@ -7,8 +7,8 @@ Two layers of the guarantee:
   every engine data path the differ can drive.
 * Free sessions carry their RNG state (and pre-drawn randomness) in
   every checkpoint, so rewinding and re-advancing must also be
-  bit-identical — for every engine in the registry, jump chains and
-  sharded ensembles included.
+  bit-identical — for every engine in the registry, jump chains
+  included.
 """
 
 from __future__ import annotations
